@@ -58,15 +58,6 @@ for seed in 3 17 91; do
         --faults="${SOAK_FAULTS}"
 done
 
-# 2b'. Crash-recovery supervision soak (docs/RESILIENCE.md,
-#      "Supervision"): one campaign per graph family, each injecting a
-#      GPN hard-death plus a shard-worker crash under the supervisor;
-#      every campaign must restart at least once and still pass the
-#      differential check.
-echo "=== supervision soak (release build) ==="
-bash scripts/supervise_soak.sh ./build-rel/tools/nova_cli \
-    build-rel/supervise_soak_work 13 7
-
 # 2c. ThreadSanitizer gate: the conservative-PDES scheduler's worker
 #     pool, mailboxes and sharded fabric under TSan. Runs the dedicated
 #     parallel battery (multi-thread inside each test) plus a sharded

@@ -102,6 +102,12 @@ if [[ " ${JOBS} " == *" bench-smoke "* ]]; then
     if [[ ${bench_ok} == 1 ]]; then
         scripts/bench_compare.py --validate "${out}" || bench_ok=0
         scripts/bench_compare.py --self-test || bench_ok=0
+        # perfbench builds src/ through its own CMake project.
+        { cmake -S perfbench -B .bench_build/perfbench \
+              -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
+          cmake --build .bench_build/perfbench -j "$(nproc)" &&
+          ctest --test-dir .bench_build/perfbench --output-on-failure
+        } || bench_ok=0
         if [[ ${QUICK} == 1 ]]; then
             echo "quick graphs: skipping baseline comparison" \
                  "(sizes differ from bench/baseline.json)"

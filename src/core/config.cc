@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "sim/logging.hh"
+
 namespace nova::core
 {
 
@@ -56,6 +58,17 @@ NovaConfig::scaled(double scale) const
         shrink(cacheBytesPerPe, 64 * blockBytes));
     c.vertexMemBytesPerPe = shrink(vertexMemBytesPerPe, 1 << 20);
     return c;
+}
+
+void
+NovaConfig::validate() const
+{
+    if (numGpns < 1)
+        sim::fatal("the system needs at least one GPN (numGpns = 0)");
+    if (superblockDim < 1)
+        sim::fatal("the superblock dimension must be at least 1");
+    if (activeBufferEntries < 1)
+        sim::fatal("the active buffer needs at least one entry");
 }
 
 } // namespace nova::core

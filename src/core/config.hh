@@ -178,6 +178,13 @@ struct NovaConfig
      * experiments; bandwidths and latencies are untouched.
      */
     NovaConfig scaled(double scale) const;
+
+    /**
+     * Reject a configuration the model cannot run (no GPN, an empty
+     * superblock or active buffer) with fatal(), before any component
+     * divides by it.
+     */
+    void validate() const;
 };
 
 /** Tracker capacity in bits for arbitrary parameters (Eq. 1 + Eq. 2). */

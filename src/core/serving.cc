@@ -99,10 +99,11 @@ struct TenantState
 struct ServingSystem::Impl
 {
     Impl(const ServingConfig &config, const graph::Csr &graph)
-        : cfg(config), g(graph), root("serve"),
+        : cfg(config), g(graph),
           map(graph::VertexMapping::interleave(
               graph.numVertices(),
-              config.gpnsPerGroup * NovaConfig{}.pesPerGpn))
+              config.gpnsPerGroup * NovaConfig{}.pesPerGpn)),
+          root("serve")
     {
         root.addScalar("offered", &offeredStat);
         root.addScalar("served", &servedStat);

@@ -56,7 +56,11 @@ struct CheckpointPolicy
 class NovaSystem : public workloads::GraphEngine
 {
   public:
-    explicit NovaSystem(NovaConfig config) : cfg(std::move(config)) {}
+    /** @throws sim::FatalError for a configuration validate() rejects. */
+    explicit NovaSystem(NovaConfig config) : cfg(std::move(config))
+    {
+        cfg.validate();
+    }
 
     std::string name() const override { return "nova"; }
 

@@ -1,5 +1,5 @@
 // Fixture: raw process termination bypasses the nova_cli exit-code
-// contract (0/1/2/3), the crash bundle, and supervisor classification.
+// contract (0/1/2) and the crash bundle.
 #include <cstdlib>
 
 void

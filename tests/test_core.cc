@@ -327,6 +327,20 @@ TEST(NovaSystem, RejectsMismatchedMapping)
     EXPECT_THROW(nova.run(prog, g, map), sim::FatalError);
 }
 
+TEST(NovaSystem, RejectsUnrunnableConfigurations)
+{
+    for (int field = 0; field < 3; ++field) {
+        core::NovaConfig cfg = tinyConfig();
+        if (field == 0)
+            cfg.numGpns = 0;
+        else if (field == 1)
+            cfg.superblockDim = 0;
+        else
+            cfg.activeBufferEntries = 0;
+        EXPECT_THROW(core::NovaSystem{cfg}, sim::FatalError) << field;
+    }
+}
+
 TEST(NovaSystem, EmptyActiveSetTerminatesImmediately)
 {
     // BFS from an isolated vertex: one propagation attempt, no edges.

@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/system.hh"
 #include "graph/generators.hh"
@@ -131,10 +133,43 @@ TEST(FaultSchedule, ConfigureRejectsBadInputByFatal)
 // recover, and leave a reference-equal result.
 // ---------------------------------------------------------------------
 
+/** An injection point and the recovery stat its firing must advance. */
+struct FaultKind
+{
+    const char *point;
+    const char *stat; ///< extra[] key whose value must be positive
+};
+
+const FaultKind faultKinds[] = {
+    {"dram.bitflip", "fault.dram.eccCorrected"},
+    {"dram.txn", "fault.dram.txnRetries"},
+    {"cache.ecc", "fault.cache.eccCorrected"},
+    {"noc.drop", "fault.net.retries"},
+    {"noc.corrupt", "fault.net.flitsCorrupted"},
+    {"noc.dup", "fault.net.duplicatesDiscarded"},
+    {"spill.corrupt", "fault.vmu.spillScrubs"},
+    {"reduce.bitflip", "fault.mpu.reduceRecomputes"},
+};
+
+/**
+ * One matrix cell: faultKinds[kind] firing on every `every`-th
+ * opportunity. gtest puts the raw bytes of a parameter into its test's
+ * name, so the cell holds plain integers: a pointer would put an
+ * address that moves from build to build into the name.
+ */
 struct KindCase
 {
-    const char *schedule;
-    const char *stat; ///< extra[] key whose value must be positive
+    std::uint64_t kind;
+    std::uint64_t every;
+
+    const FaultKind &info() const { return faultKinds[kind]; }
+
+    std::string
+    schedule() const
+    {
+        return std::string(info().point) + ":every=" +
+               std::to_string(every);
+    }
 };
 
 class FaultMatrix : public ::testing::TestWithParam<KindCase>
@@ -143,21 +178,22 @@ class FaultMatrix : public ::testing::TestWithParam<KindCase>
 
 TEST_P(FaultMatrix, FiresRecoversAndStaysCorrect)
 {
-    const KindCase &kc = GetParam();
-    const FaultedRun r = runSsspUnder(kc.schedule);
-    EXPECT_TRUE(r.valid) << "results diverged under " << kc.schedule;
+    const std::string schedule = GetParam().schedule();
+    const char *stat = GetParam().info().stat;
+    const FaultedRun r = runSsspUnder(schedule);
+    EXPECT_TRUE(r.valid) << "results diverged under " << schedule;
     EXPECT_GT(extraOr(r.result, "fault.injected"), 0)
-        << kc.schedule << " never fired";
-    EXPECT_GT(extraOr(r.result, kc.stat), 0)
-        << "recovery stat " << kc.stat << " did not advance";
+        << schedule << " never fired";
+    EXPECT_GT(extraOr(r.result, stat), 0)
+        << "recovery stat " << stat << " did not advance";
     EXPECT_GT(extraOr(r.result, "fault.recoveries"), 0);
 }
 
 TEST_P(FaultMatrix, ReplaysBitExactly)
 {
-    const KindCase &kc = GetParam();
-    const FaultedRun a = runSsspUnder(kc.schedule);
-    const FaultedRun b = runSsspUnder(kc.schedule);
+    const std::string schedule = GetParam().schedule();
+    const FaultedRun a = runSsspUnder(schedule);
+    const FaultedRun b = runSsspUnder(schedule);
     EXPECT_EQ(a.result.props, b.result.props);
     EXPECT_EQ(extraOr(a.result, "sim.fingerprint"),
               extraOr(b.result, "sim.fingerprint"));
@@ -169,18 +205,11 @@ TEST_P(FaultMatrix, ReplaysBitExactly)
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, FaultMatrix,
-    ::testing::Values(
-        KindCase{"dram.bitflip:every=40", "fault.dram.eccCorrected"},
-        KindCase{"dram.txn:every=50", "fault.dram.txnRetries"},
-        KindCase{"cache.ecc:every=30", "fault.cache.eccCorrected"},
-        KindCase{"noc.drop:every=25", "fault.net.retries"},
-        KindCase{"noc.corrupt:every=25", "fault.net.flitsCorrupted"},
-        KindCase{"noc.dup:every=25", "fault.net.duplicatesDiscarded"},
-        KindCase{"spill.corrupt:every=3", "fault.vmu.spillScrubs"},
-        KindCase{"reduce.bitflip:every=20",
-                 "fault.mpu.reduceRecomputes"}),
+    ::testing::Values(KindCase{0, 40}, KindCase{1, 50}, KindCase{2, 30},
+                      KindCase{3, 25}, KindCase{4, 25}, KindCase{5, 25},
+                      KindCase{6, 3}, KindCase{7, 20}),
     [](const ::testing::TestParamInfo<KindCase> &info) {
-        std::string name = info.param.schedule;
+        std::string name = info.param.schedule();
         for (char &c : name)
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';

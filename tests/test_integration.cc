@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "baselines/ligra.hh"
 #include "baselines/polygraph.hh"
 #include "core/system.hh"
@@ -24,7 +26,10 @@ using graph::VertexId;
 namespace
 {
 
-enum class EngineKind
+// 64-bit so that Case (below) has no padding: gtest puts the raw bytes
+// of each Case into its test's name, and uninitialised padding bytes
+// made those names differ from build to build.
+enum class EngineKind : std::uint64_t
 {
     NovaSmall,
     NovaMultiGpn,

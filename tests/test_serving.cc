@@ -122,8 +122,9 @@ TEST(ServingArrivals, PoissonDeterministicAndOrdered)
         EXPECT_LT(a[i].tenant, 4u);
         EXPECT_LT(a[i].kind, 3u);
         EXPECT_LE(a[i].at, 400'000u);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(a[i].at, a[i - 1].at); // gaps are >= 1 tick
+        }
     }
     // A different seed draws a different stream.
     const auto c = sim::generateArrivals(spec, 43, 4, 3, 400'000);

@@ -51,21 +51,9 @@
  *                    checkpoint file, older at <file>.1 ...; resume
  *                    falls back to the newest valid one)       [1]
  *
- * Supervision (docs/RESILIENCE.md, "Supervision"): with --supervise,
- * nova_cli runs the simulation as a child process and restarts it
- * from the newest valid checkpoint generation when it crashes:
- *   --supervise           enable the crash-recovery supervisor
- *   --max-restarts=<n>    restarts allowed after the first run    [5]
- *   --backoff-ms=<n>      first restart delay, doubles per crash [100]
- *   --crash-loop=<n>      consecutive no-progress crashes that give
- *                         up as a crash loop                      [3]
- *   --recovery-report=<p> write a JSON recovery report (schema
- *                         nova-recovery-1)
- *
  * Exit codes: 0 success, 1 user error (FatalError, bad flags,
  * validation mismatch), 2 simulator bug (PanicError; a crash bundle
- * with a replay line is left behind), 3 supervision gave up (retries
- * exhausted or crash loop; only with --supervise).
+ * with a replay line is left behind).
  *
  * Multi-tenant serving subcommand (see docs/SERVING.md):
  *
@@ -124,17 +112,11 @@
  *                    campaign runs with {1, 2} host threads x {heap,
  *                    calendar} backends and all four nova-serving-1
  *                    reports must be bit-identical            [off]
- *   --soak=<N>       hard-fault supervision campaign: N supervised
- *                    PageRank runs over fuzzed graphs covering every
- *                    structural family, each with an injected
- *                    permanent GPN death and shard crash at
- *                    fuzz-chosen ticks; every campaign must restart
- *                    at least once, fail over, resume bit-identically
- *                    and still match the reference          [off]
  *   --verbose        print every case as it runs
  */
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -145,8 +127,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "baselines/ligra.hh"
 #include "baselines/polygraph.hh"
 #include "core/serving.hh"
@@ -156,8 +136,6 @@
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/profile.hh"
-#include "sim/random.hh"
-#include "sim/supervise.hh"
 #include "graph/graph_stats.hh"
 #include "graph/io.hh"
 #include "graph/partition.hh"
@@ -242,6 +220,31 @@ parseU64(const std::string &text, const char *what, int base = 10)
     return value;
 }
 
+/** parseU64, additionally bounded to 32 bits. */
+std::uint32_t
+parseU32(const std::string &text, const char *what)
+{
+    const std::uint64_t value = parseU64(text, what);
+    if (value > UINT32_MAX)
+        sim::fatal("value '", text, "' for ", what, " is out of range");
+    return static_cast<std::uint32_t>(value);
+}
+
+/** A full, finite, strictly positive decimal value or a usage error. */
+double
+parsePositive(const std::string &text, const char *what)
+{
+    double value = 0;
+    const char *first = text.c_str();
+    const char *last = first + text.size();
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || ptr != last || text.empty() ||
+        !std::isfinite(value) || value <= 0)
+        sim::fatal("bad value '", text, "' for ", what,
+                   " (need a finite number > 0)");
+    return value;
+}
+
 CliOptions
 parseArgs(int argc, char **argv)
 {
@@ -256,21 +259,19 @@ parseArgs(int argc, char **argv)
             takeValue(a, "--fabric=", o.fabric))
             continue;
         if (takeValue(a, "--scale=", v))
-            o.scale = std::atof(v.c_str());
+            o.scale = parsePositive(v, "--scale");
         else if (takeValue(a, "--gpns=", v))
-            o.gpns = static_cast<std::uint32_t>(std::atoi(v.c_str()));
+            o.gpns = parseU32(v, "--gpns");
         else if (takeValue(a, "--cache=", v))
-            o.cacheBytes =
-                static_cast<std::uint32_t>(std::atoi(v.c_str()));
+            o.cacheBytes = parseU32(v, "--cache");
         else if (takeValue(a, "--sbdim=", v))
-            o.sbDim = static_cast<std::uint32_t>(std::atoi(v.c_str()));
+            o.sbDim = parseU32(v, "--sbdim");
         else if (takeValue(a, "--buffer=", v))
-            o.bufferEntries =
-                static_cast<std::uint32_t>(std::atoi(v.c_str()));
+            o.bufferEntries = parseU32(v, "--buffer");
         else if (takeValue(a, "--src=", v))
-            o.src = std::atoll(v.c_str());
+            o.src = parseU32(v, "--src");
         else if (takeValue(a, "--seed=", v))
-            o.seed = static_cast<std::uint64_t>(std::atoll(v.c_str()));
+            o.seed = parseU64(v, "--seed");
         else if (takeValue(a, "--faults=", o.faultSchedule) ||
                  takeValue(a, "--checkpoint-file=", o.checkpointFile) ||
                  takeValue(a, "--resume=", o.resumeFile) ||
@@ -303,8 +304,7 @@ parseArgs(int argc, char **argv)
         else if (takeValue(a, "--queue-impl=", o.queueImpl))
             continue;
         else if (takeValue(a, "--threads=", v))
-            o.threads =
-                static_cast<std::uint32_t>(parseU64(v, "--threads"));
+            o.threads = parseU32(v, "--threads");
         else if (std::strcmp(a, "--deterministic-merge") == 0)
             o.deterministicMerge = true;
         else
@@ -338,11 +338,18 @@ makeGraph(const CliOptions &o)
     const auto colon2 = s.find(':', colon1 + 1);
     if (colon1 == std::string::npos || colon2 == std::string::npos)
         sim::fatal("bad --graph spec '", s, "'");
-    const auto p1 = std::strtoull(s.c_str() + colon1 + 1, nullptr, 10);
-    const auto p2 = std::strtoull(s.c_str() + colon2 + 1, nullptr, 10);
+    const std::uint32_t p1 =
+        parseU32(s.substr(colon1 + 1, colon2 - colon1 - 1), "--graph");
+    const std::uint64_t p2 = parseU64(s.substr(colon2 + 1), "--graph");
+    if ((kind == "rmat" || kind == "uniform") && p1 < 2)
+        sim::fatal("--graph=", kind, " needs at least 2 vertices");
+    if (kind == "grid" && (p1 < 2 || p2 < 2 || p2 > UINT32_MAX ||
+                           std::uint64_t(p1) * p2 > UINT32_MAX))
+        sim::fatal("--graph=grid needs a width and height of at least 2 "
+                   "and at most 2^32-1 vertices");
     if (kind == "rmat") {
         graph::RmatParams p;
-        p.numVertices = static_cast<graph::VertexId>(p1);
+        p.numVertices = p1;
         p.numEdges = p2;
         p.maxWeight = 255;
         p.seed = o.seed;
@@ -350,7 +357,7 @@ makeGraph(const CliOptions &o)
     }
     if (kind == "uniform") {
         graph::UniformParams p;
-        p.numVertices = static_cast<graph::VertexId>(p1);
+        p.numVertices = p1;
         p.numEdges = p2;
         p.maxWeight = 255;
         p.seed = o.seed;
@@ -358,7 +365,7 @@ makeGraph(const CliOptions &o)
     }
     if (kind == "grid") {
         graph::RoadGridParams p;
-        p.width = static_cast<graph::VertexId>(p1);
+        p.width = p1;
         p.height = static_cast<graph::VertexId>(p2);
         p.maxWeight = 255;
         p.seed = o.seed;
@@ -464,123 +471,6 @@ printDivergences(const verify::CaseOutcome &outcome)
     }
 }
 
-/** This binary's own path, for re-exec under supervision. */
-std::string
-selfExePath(const char *argv0)
-{
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0;
-}
-
-/**
- * Hard-fault supervision campaign (`verify --soak=N`): N supervised
- * PageRank runs over fuzzed graphs, cycling through every structural
- * family, each with a permanent GPN death plus a shard crash injected
- * at fuzz-chosen ticks. The crash forces a restart; the restart must
- * resume from the forced checkpoint, replay the failover, and finish
- * with reference-correct results (the child validates itself). Every
- * campaign must therefore end with exit 0 after >= 1 restart.
- */
-int
-soakMain(const std::string &self, std::uint64_t seed,
-         std::uint64_t campaigns, bool verbose)
-{
-    std::uint64_t failures = 0, total_restarts = 0, total_migrated = 0;
-    std::uint64_t fuzz_index = 0;
-    for (std::uint64_t c = 0; c < campaigns; ++c) {
-        const auto want = static_cast<verify::GraphFamily>(
-            c % verify::numGraphFamilies);
-        verify::FuzzedGraph fg;
-        do {
-            fg = verify::fuzzCase(seed, fuzz_index++);
-        } while (fg.family != want);
-
-        // Fuzz-chosen fault ticks, early enough to strike at the first
-        // BSP barrier even on degenerate single-vertex graphs. The GPN
-        // death and the shard crash land on the same barrier: failover
-        // runs first (schedule order), then the crash checkpoints the
-        // degraded topology and kills the child.
-        sim::Rng rng(seed ^ (c * 0x9e3779b97f4a7c15ULL) ^
-                     0x50a4c0ffeeULL);
-        const std::uint64_t dead_tick = rng.nextRange(1, 60);
-        const std::uint64_t crash_tick =
-            dead_tick + rng.nextRange(1, 60);
-
-        const std::string base = "nova_soak_c" + std::to_string(c);
-        const std::string gpath = base + ".graph.bin";
-        const std::string cpath = base + ".ckpt";
-        graph::saveBinaryFile(fg.graph, gpath);
-        std::remove(cpath.c_str());
-        std::remove((cpath + ".1").c_str());
-
-        sim::SuperviseConfig scfg;
-        scfg.childArgv = {
-            self,
-            "--workload=pr",
-            "--graph=bin:" + gpath,
-            "--gpns=2",
-            "--mapping=interleave",
-            "--seed=" + std::to_string(seed + c),
-            "--checkpoint-every=1",
-            "--checkpoint-file=" + cpath,
-            "--keep-generations=2",
-            "--crash-bundle=" + base + ".crash.txt",
-            "--faults=gpn.dead@gpn1:tick=" + std::to_string(dead_tick) +
-                "+shard.crash@gpn0:tick=" + std::to_string(crash_tick),
-        };
-        scfg.checkpointPath = cpath;
-        scfg.keepGenerations = 2;
-        scfg.maxRestarts = 3;
-        scfg.crashLoopWindow = 2;
-        scfg.backoffMs = 0; // campaign throughput; backoff is tested
-                            // separately in tests/test_supervise.cc
-        const sim::SuperviseResult res = sim::superviseRun(scfg);
-
-        const bool ok = res.finalExit == 0 && res.restarts >= 1;
-        if (verbose || !ok)
-            std::printf("campaign #%llu (%s, %s): exit %d, %u "
-                        "restart(s), %llu vertex(es) migrated%s\n",
-                        static_cast<unsigned long long>(c),
-                        verify::familyName(fg.family),
-                        fg.description.c_str(), res.finalExit,
-                        res.restarts,
-                        static_cast<unsigned long long>(
-                            res.migratedVertices),
-                        ok ? "" : " FAILED");
-        if (!ok) {
-            ++failures;
-            continue; // keep the campaign's files for debugging
-        }
-        total_restarts += res.restarts;
-        total_migrated += res.migratedVertices;
-        std::remove(gpath.c_str());
-        std::remove(cpath.c_str());
-        std::remove((cpath + ".1").c_str());
-        std::remove((base + ".crash.txt").c_str());
-    }
-
-    // The campaign as a whole must have exercised slice remapping:
-    // interleaved mappings put vertices on the dead GPN whenever the
-    // graph is big enough, and the families include plenty that are.
-    const bool remapped = total_migrated > 0;
-    std::printf("soak: %llu campaigns, %llu failed, %llu restarts, "
-                "%llu vertices migrated [seed %llu]\n",
-                static_cast<unsigned long long>(campaigns),
-                static_cast<unsigned long long>(failures),
-                static_cast<unsigned long long>(total_restarts),
-                static_cast<unsigned long long>(total_migrated),
-                static_cast<unsigned long long>(seed));
-    if (!remapped)
-        std::printf("soak: FAILED — no campaign migrated any vertex "
-                    "slice\n");
-    return failures == 0 && remapped ? 0 : 1;
-}
-
 /**
  * `nova_cli serve ...`: one multi-tenant serving campaign
  * (docs/SERVING.md). Prints the canonical nova-serving-1 report on
@@ -633,7 +523,7 @@ serveMain(int argc, char **argv)
             scfg.contentionPct =
                 static_cast<std::uint32_t>(parseU64(v, "--contention"));
         else if (takeValue(a, "--scale=", v))
-            scfg.scale = std::atof(v.c_str());
+            scfg.scale = parsePositive(v, "--scale");
         else if (takeValue(a, "--seed=", v))
             scfg.seed = parseU64(v, "--seed");
         else if (takeValue(a, "--threads=", v)) {
@@ -803,7 +693,6 @@ verifyMain(int argc, char **argv)
 {
     std::uint64_t iterations = 100;
     std::uint64_t seed = 1;
-    std::uint64_t soak = 0;
     std::uint64_t serve = 0;
     std::string replay_token;
     bool verbose = false;
@@ -814,11 +703,6 @@ verifyMain(int argc, char **argv)
         const char *a = argv[i];
         if (takeValue(a, "--fuzz=", v))
             iterations = parseU64(v, "--fuzz");
-        else if (takeValue(a, "--soak=", v)) {
-            soak = parseU64(v, "--soak");
-            if (soak == 0)
-                sim::fatal("--soak needs at least one campaign");
-        }
         else if (takeValue(a, "--serve=", v)) {
             serve = parseU64(v, "--serve");
             if (serve == 0)
@@ -888,8 +772,6 @@ verifyMain(int argc, char **argv)
         sim::fatal("fuzzer bounds too small: need --max-v >= 8 and "
                    "--max-e >= 16");
 
-    if (soak > 0)
-        return soakMain(selfExePath(argv[0]), seed, soak, verbose);
     if (serve > 0)
         return serveVerifyMain(seed, serve, verbose);
 
@@ -940,74 +822,6 @@ verifyMain(int argc, char **argv)
     return summary.ok() ? 0 : 1;
 }
 
-/**
- * `nova_cli --supervise ...`: re-run this command as a supervised child
- * (with the supervisor-only flags stripped), restarting it from the
- * newest valid checkpoint generation when it crashes. Exit code is the
- * child's final one, or sim::exitSupervisionFailed (3) on give-up.
- */
-int
-superviseMain(int argc, char **argv)
-{
-    sim::SuperviseConfig scfg;
-    std::string ckpt_file = "nova.ckpt";
-    std::vector<std::string> child;
-    child.push_back(selfExePath(argv[0]));
-    std::string v;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (std::strcmp(a, "--supervise") == 0)
-            continue;
-        if (takeValue(a, "--max-restarts=", v)) {
-            scfg.maxRestarts =
-                static_cast<unsigned>(parseU64(v, "--max-restarts"));
-            continue;
-        }
-        if (takeValue(a, "--backoff-ms=", v)) {
-            scfg.backoffMs = parseU64(v, "--backoff-ms");
-            continue;
-        }
-        if (takeValue(a, "--crash-loop=", v)) {
-            scfg.crashLoopWindow =
-                static_cast<unsigned>(parseU64(v, "--crash-loop"));
-            if (scfg.crashLoopWindow == 0)
-                sim::fatal("--crash-loop needs at least 1");
-            continue;
-        }
-        if (takeValue(a, "--recovery-report=", scfg.reportPath))
-            continue;
-        // Shared with the child: the supervisor must look for fallback
-        // generations exactly where the child writes them.
-        if (takeValue(a, "--checkpoint-file=", ckpt_file)) {
-            child.push_back(a);
-            continue;
-        }
-        if (takeValue(a, "--keep-generations=", v)) {
-            scfg.keepGenerations =
-                static_cast<unsigned>(parseU64(v, "--keep-generations"));
-            child.push_back(a);
-            continue;
-        }
-        child.push_back(a);
-    }
-    scfg.checkpointPath = ckpt_file;
-    scfg.childArgv = std::move(child);
-
-    const sim::SuperviseResult res = sim::superviseRun(scfg);
-    if (!scfg.reportPath.empty()) {
-        std::ofstream os(scfg.reportPath, std::ios::trunc);
-        os << sim::recoveryReportJson(scfg, res);
-        if (!os)
-            sim::fatal("cannot write recovery report ",
-                       scfg.reportPath);
-    }
-    std::printf("supervision: exit %d after %u restart(s)%s%s\n",
-                res.finalExit, res.restarts,
-                res.crashLoop ? " (crash loop)" : "",
-                res.retriesExhausted ? " (retries exhausted)" : "");
-    return res.finalExit;
-}
-
 /** The exact command line, quoted for the crash-bundle replay line. */
 std::string
 reconstructCommand(int argc, char **argv)
@@ -1032,9 +846,6 @@ cliMain(int argc, char **argv)
         --argc;
         ++argv;
     }
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--supervise") == 0)
-            return superviseMain(argc, argv);
     const CliOptions o = parseArgs(argc, argv);
     if (!o.crashBundle.empty())
         sim::crash::setBundlePath(o.crashBundle);
@@ -1056,6 +867,9 @@ cliMain(int argc, char **argv)
     const bool needs_symmetric = o.workload == "cc" || o.workload == "bc";
     if (needs_symmetric)
         g = graph::symmetrize(g);
+    if (o.src >= 0 && o.src >= g.numVertices())
+        sim::fatal("--src=", o.src, " is out of range (the graph has ",
+                   g.numVertices(), " vertices)");
     const graph::VertexId src =
         o.src >= 0 ? static_cast<graph::VertexId>(o.src)
                    : graph::highestDegreeVertex(g);

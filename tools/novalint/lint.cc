@@ -158,14 +158,12 @@ ruleWallClock(std::vector<Diagnostic> &out, const PreparedFile &p)
 }
 
 /**
- * raw-exit: direct process termination outside the supervisor. A raw
- * exit()/abort() skips the crash bundle, the checkpoint-generation
- * error context and the nova_cli exit-code contract (0/1/2/3) that the
- * crash-recovery supervisor classifies restarts by — errors must
- * travel through sim::fatal()/sim::panic() instead. Exempt:
- * src/sim/supervise.* (the forked child's _exit after a failed exec is
- * the one legitimate raw termination — no C++ unwinding may run in the
- * child).
+ * raw-exit: direct process termination. A raw exit()/abort() skips the
+ * crash bundle, the checkpoint-generation error context and the
+ * nova_cli exit-code contract (0/1/2) — errors must travel through
+ * sim::fatal()/sim::panic() instead. Still exempt: src/sim/supervise.*,
+ * where the deleted crash-recovery supervisor's forked child called
+ * _exit after a failed exec; the exemption goes with its test.
  */
 void
 ruleRawExit(std::vector<Diagnostic> &out, const PreparedFile &p)
@@ -177,8 +175,7 @@ ruleRawExit(std::vector<Diagnostic> &out, const PreparedFile &p)
         R"(|\b_exit\s*\()");
     flagLines(out, p, re, "raw-exit",
               "raw process termination; throw sim::fatal()/sim::panic() "
-              "so the exit-code contract, crash bundle and supervisor "
-              "classification stay intact");
+              "so the exit-code contract and crash bundle stay intact");
 }
 
 /**
