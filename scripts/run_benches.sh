@@ -34,7 +34,6 @@ for b in "${BUILD}"/bench/*; do
     name="$(basename "$b")"
     case "${name}" in
         *.cmake | CMakeFiles | cmake_install.cmake | Makefile) continue ;;
-        perf_smoke) continue ;; # JSON suite; driven by bench_json.sh
     esac
     if [[ ! -f "$b" || ! -x "$b" ]]; then
         skipped=$((skipped + 1))

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
 namespace nova::core
@@ -187,20 +186,6 @@ Mgu::maybeFinishEntry(const std::shared_ptr<EntryState> &ent)
         ++verticesPropagated;
         pull();
     }
-}
-
-void
-Mgu::saveState(sim::CheckpointWriter &w) const
-{
-    NOVA_ASSERT(pendingWork() == 0 && !propEvent.scheduled(),
-                "checkpointing a busy MGU");
-    sim::saveGroupStats(w, statistics());
-}
-
-void
-Mgu::restoreState(sim::CheckpointReader &r)
-{
-    sim::restoreGroupStats(r, statistics());
 }
 
 } // namespace nova::core

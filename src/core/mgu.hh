@@ -58,11 +58,6 @@ class Mgu : public sim::ClockedObject
     sim::stats::Scalar sendStalls;
     /** @} */
 
-    /** @{ @name Checkpoint hooks (statistics; the pipeline is idle) */
-    void saveState(sim::CheckpointWriter &w) const override;
-    void restoreState(sim::CheckpointReader &r) override;
-    /** @} */
-
   private:
     struct EntryState
     {

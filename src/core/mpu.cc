@@ -1,6 +1,5 @@
 #include "core/mpu.hh"
 
-#include "sim/checkpoint.hh"
 #include "workloads/programs.hh"
 
 namespace nova::core
@@ -125,31 +124,6 @@ Mpu::clearTouched()
     for (const VertexId v : touchedList)
         touchedFlag[v] = 0;
     touchedList.clear();
-}
-
-void
-Mpu::onStoreGrown()
-{
-    NOVA_ASSERT(touchedList.empty() && !stalled,
-                "store of MPU '", name(), "' grew while busy");
-    if (bspMode)
-        touchedFlag.resize(store.numLocal(), 0);
-}
-
-void
-Mpu::saveState(sim::CheckpointWriter &w) const
-{
-    NOVA_ASSERT(!stalled && !workEvent.scheduled(),
-                "checkpointing a busy MPU");
-    NOVA_ASSERT(touchedList.empty(),
-                "checkpointing an MPU before the barrier cleared it");
-    sim::saveGroupStats(w, statistics());
-}
-
-void
-Mpu::restoreState(sim::CheckpointReader &r)
-{
-    sim::restoreGroupStats(r, statistics());
 }
 
 } // namespace nova::core

@@ -43,13 +43,6 @@ class Mpu : public sim::ClockedObject
     /** Reset the touched set at a BSP barrier. */
     void clearTouched();
 
-    /**
-     * Failover hook: the backing store adopted vertices from a dead
-     * GPN. Resizes the per-local touched bitmap; only valid between
-     * supersteps (touched set already cleared).
-     */
-    void onStoreGrown();
-
     /** Messages popped but not yet reduced (watchdog pending probe). */
     std::uint64_t pendingWork() const { return stalled ? 1 : 0; }
 
@@ -58,11 +51,6 @@ class Mpu : public sim::ClockedObject
     sim::stats::Scalar activations;
     sim::stats::Scalar bspCoalesced;
     sim::stats::Scalar reduceRecomputes; ///< corrupted FU results redone
-    /** @} */
-
-    /** @{ @name Checkpoint hooks (statistics; the pipeline is idle) */
-    void saveState(sim::CheckpointWriter &w) const override;
-    void restoreState(sim::CheckpointReader &r) override;
     /** @} */
 
   private:

@@ -1,6 +1,5 @@
 #include "core/vertex_store.hh"
 
-#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
 namespace nova::core
@@ -85,77 +84,6 @@ VertexStore::corruptAndScrub(VertexId local, std::uint64_t mask)
     const bool detected = curProp[local] != saved;
     curProp[local] = saved;
     return detected;
-}
-
-void
-VertexStore::saveState(sim::CheckpointWriter &w) const
-{
-    w.u64vec("cur", std::vector<std::uint64_t>(curProp.begin(),
-                                               curProp.end()));
-    w.u64vec("acc", std::vector<std::uint64_t>(accProp.begin(),
-                                               accProp.end()));
-    w.u64vec("activeNow", std::vector<std::uint64_t>(activeNow.begin(),
-                                                     activeNow.end()));
-    w.u64vec("inBufferCount",
-             std::vector<std::uint64_t>(inBufferCount.begin(),
-                                        inBufferCount.end()));
-    w.u64vec("activeInBlock",
-             std::vector<std::uint64_t>(activeInBlock.begin(),
-                                        activeInBlock.end()));
-}
-
-void
-VertexStore::restoreState(sim::CheckpointReader &r)
-{
-    const std::vector<std::uint64_t> cur = r.u64vec("cur");
-    const std::vector<std::uint64_t> acc = r.u64vec("acc");
-    const std::vector<std::uint64_t> act = r.u64vec("activeNow");
-    const std::vector<std::uint64_t> buf = r.u64vec("inBufferCount");
-    const std::vector<std::uint64_t> aib = r.u64vec("activeInBlock");
-    if (cur.size() != curProp.size() || acc.size() != accProp.size() ||
-        act.size() != activeNow.size() ||
-        buf.size() != inBufferCount.size() ||
-        aib.size() != activeInBlock.size())
-        sim::fatal("checkpoint vertex-store shape mismatch "
-                   "(different graph or partitioning?)");
-    for (std::size_t i = 0; i < cur.size(); ++i) {
-        curProp[i] = cur[i];
-        accProp[i] = acc[i];
-        activeNow[i] = static_cast<std::uint8_t>(act[i]);
-        inBufferCount[i] = static_cast<std::uint8_t>(buf[i]);
-    }
-    for (std::size_t i = 0; i < aib.size(); ++i)
-        activeInBlock[i] = static_cast<std::uint16_t>(aib[i]);
-}
-
-void
-VertexStore::adoptVertices(const graph::Csr &g,
-                           const std::vector<AdoptedVertex> &entries)
-{
-    for (const AdoptedVertex &a : entries) {
-        NOVA_ASSERT(a.global < g.numVertices(),
-                    "adopted vertex outside the graph");
-        localToGlobal.push_back(a.global);
-        curProp.push_back(a.cur);
-        accProp.push_back(a.acc);
-        activeNow.push_back(0);
-        inBufferCount.push_back(0);
-        for (EdgeId e = g.edgeBegin(a.global); e < g.edgeEnd(a.global);
-             ++e) {
-            edgeDst.push_back(g.edgeDest(e));
-            if (g.weighted())
-                edgeWgt.push_back(g.edgeWeight(e));
-        }
-        rowPtr.push_back(edgeDst.size());
-        ++numLocalVerts;
-    }
-    // Appending never moves existing vertices between blocks (blockOf is
-    // pure arithmetic on the local index), so only the tail grows.
-    numBlocksTotal = (numLocalVerts + vpb - 1) / vpb;
-    numSbTotal = (numBlocksTotal + sbDim - 1) / sbDim;
-    if (numSbTotal == 0)
-        numSbTotal = 1;
-    activeInBlock.resize(std::max<std::uint32_t>(1, numBlocksTotal), 0);
 }
 
 std::uint32_t

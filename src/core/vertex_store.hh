@@ -21,26 +21,12 @@
 #include "sim/types.hh"
 #include "workloads/vertex_program.hh"
 
-namespace nova::sim
-{
-class CheckpointReader;
-class CheckpointWriter;
-} // namespace nova::sim
-
 namespace nova::core
 {
 
 using graph::EdgeId;
 using graph::VertexId;
 using sim::Addr;
-
-/** One vertex migrated from a dead GPN's PE during failover. */
-struct AdoptedVertex
-{
-    VertexId global = 0;
-    std::uint64_t cur = 0;
-    std::uint64_t acc = 0;
-};
 
 /** Functional per-PE vertex and edge state. */
 class VertexStore
@@ -152,26 +138,6 @@ class VertexStore
      *         non-zero mask: the checksum covers the whole slot).
      */
     bool corruptAndScrub(VertexId local, std::uint64_t mask);
-
-    /**
-     * Failover: append vertices evacuated from a dead GPN's stores.
-     *
-     * Each entry brings its live property values; the adopted vertices
-     * arrive inactive (no spilled-active flag, no buffer entries) — the
-     * caller migrates at a BSP barrier where the dead stores are
-     * quiescent and re-activates through the normal frontier path.
-     * Existing local indices never move; block/superblock geometry is
-     * re-derived for the grown slice, and CSR rows are rebuilt from the
-     * global graph. Units caching per-local state must be resized
-     * afterwards (MPU::onStoreGrown, VMU::onStoreGrown).
-     */
-    void adoptVertices(const graph::Csr &g,
-                       const std::vector<AdoptedVertex> &entries);
-
-    /** @{ @name Checkpoint support (all mutable functional state) */
-    void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
-    /** @} */
 
   private:
     std::uint32_t numLocalVerts;

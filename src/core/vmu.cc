@@ -1,6 +1,5 @@
 #include "core/vmu.hh"
 
-#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
 namespace nova::core
@@ -29,7 +28,6 @@ Vmu::Vmu(std::string name, sim::EventQueue &queue, const NovaConfig &cfg_,
     statistics().addScalar("counterReconciliations",
                            &counterReconciliations);
     statistics().addScalar("spillScrubs", &spillScrubs);
-    statistics().addScalar("degradedInserts", &degradedInserts);
 
     if (sim::FaultInjector *inj = queue.faultInjector())
         spillPoint = inj->registerPoint("spill.corrupt", this->name());
@@ -53,8 +51,6 @@ Vmu::activate(VertexId local, std::uint64_t alpha)
         // Eager policy: no coalescing; duplicates are allowed.
         if (freeSlots() > 0)
             directInsert(local, alpha);
-        else if (spillLost)
-            emergencyInsert(local, alpha);
         else
             spillFifo(local);
         return;
@@ -70,29 +66,13 @@ Vmu::activate(VertexId local, std::uint64_t alpha)
     if (store.bufferCount(local) > 0) {
         // A stale snapshot is already queued; re-track so the new
         // value propagates too.
-        if (spillLost)
-            emergencyInsert(local, alpha);
-        else
-            spillOverwrite(local);
+        spillOverwrite(local);
         return;
     }
     if (freeSlots() > 0)
         directInsert(local, alpha);
-    else if (spillLost)
-        emergencyInsert(local, alpha);
     else
         spillOverwrite(local);
-}
-
-void
-Vmu::emergencyInsert(VertexId local, std::uint64_t alpha)
-{
-    // Degraded mode after spill.loss: the spill region is gone, so an
-    // activation that would spill over-commits the buffer instead (a
-    // reserved emergency slice). freeSlots() saturates at zero, so the
-    // prefetcher simply never triggers while over-committed.
-    ++degradedInserts;
-    directInsert(local, alpha);
 }
 
 void
@@ -264,64 +244,6 @@ Vmu::endBurst()
     }
     scanActive = false;
     maybePrefetch();
-}
-
-void
-Vmu::loseSpillRegion()
-{
-    NOVA_ASSERT(pendingWork() == 0 && !scanActive && reservedSlots == 0 &&
-                    !fifoFetchActive,
-                "spill region lost while VMU '", name(), "' is busy");
-    spillLost = true;
-}
-
-void
-Vmu::onStoreGrown()
-{
-    NOVA_ASSERT(pendingWork() == 0 && !scanActive && reservedSlots == 0 &&
-                    !fifoFetchActive,
-                "store of VMU '", name(), "' grew while busy");
-    counters.resize(store.numSuperblocks(), 0);
-}
-
-void
-Vmu::saveState(sim::CheckpointWriter &w) const
-{
-    NOVA_ASSERT(buffer.empty() && fifo.empty() && !scanActive &&
-                    scanPending == 0 && reservedSlots == 0 &&
-                    !fifoFetchActive,
-                "checkpointing VMU '", name(), "' with pending work");
-    w.u64vec("counters", std::vector<std::uint64_t>(counters.begin(),
-                                                    counters.end()));
-    w.u64("totalTracked", totalTracked);
-    w.u64("cursorSb", cursorSb);
-    w.u64("scanSb", scanSb);
-    w.u64("scanBlock", scanBlock);
-    w.u64("scanResumed", scanResumed ? 1 : 0);
-    w.u64("fifoHead", fifoHead);
-    w.u64("fifoTail", fifoTail);
-    sim::saveGroupStats(w, statistics());
-}
-
-void
-Vmu::restoreState(sim::CheckpointReader &r)
-{
-    NOVA_ASSERT(buffer.empty() && fifo.empty() && !scanActive,
-                "restoring VMU '", name(), "' with pending work");
-    const std::vector<std::uint64_t> cnt = r.u64vec("counters");
-    if (cnt.size() != counters.size())
-        sim::fatal("checkpoint superblock count mismatch for '", name(),
-                   "'");
-    for (std::size_t i = 0; i < cnt.size(); ++i)
-        counters[i] = static_cast<std::uint32_t>(cnt[i]);
-    totalTracked = r.u64("totalTracked");
-    cursorSb = static_cast<std::uint32_t>(r.u64("cursorSb"));
-    scanSb = static_cast<std::uint32_t>(r.u64("scanSb"));
-    scanBlock = static_cast<std::uint32_t>(r.u64("scanBlock"));
-    scanResumed = r.u64("scanResumed") != 0;
-    fifoHead = r.u64("fifoHead");
-    fifoTail = r.u64("fifoTail");
-    sim::restoreGroupStats(r, statistics());
 }
 
 Vmu::Entry

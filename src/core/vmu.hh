@@ -74,26 +74,6 @@ class Vmu : public sim::SimObject
         return totalTracked + buffer.size() + fifo.size();
     }
 
-    /**
-     * Hard-fault hook (spill.loss@pe<K>): this PE's spill region is
-     * permanently lost. Only valid while quiescent (at a BSP barrier,
-     * where nothing is spilled). Afterwards activations that would
-     * spill over-commit the active buffer instead (an emergency slice;
-     * counted by degradedInserts) — results stay exact while the
-     * timing model degrades gracefully.
-     */
-    void loseSpillRegion();
-
-    /** True once loseSpillRegion() switched this PE to degraded mode. */
-    bool spillRegionLost() const { return spillLost; }
-
-    /**
-     * Failover hook: the backing store adopted vertices from a dead
-     * GPN. Resizes the per-superblock tracker to the grown geometry;
-     * only valid while quiescent (at a BSP barrier).
-     */
-    void onStoreGrown();
-
     /** @{ @name Statistics */
     sim::stats::Scalar coalescedUpdates;
     sim::stats::Scalar directInserts;
@@ -105,18 +85,10 @@ class Vmu : public sim::SimObject
     sim::stats::Scalar fifoWrites;
     sim::stats::Scalar counterReconciliations;
     sim::stats::Scalar spillScrubs; ///< corrupted spill slots scrubbed
-    /** Buffer over-commits after spill.loss (subset of directInserts). */
-    sim::stats::Scalar degradedInserts;
-    /** @} */
-
-    /** @{ @name Checkpoint hooks (tracker + prefetch cursor + stats) */
-    void saveState(sim::CheckpointWriter &w) const override;
-    void restoreState(sim::CheckpointReader &r) override;
     /** @} */
 
   private:
     void directInsert(VertexId local, std::uint64_t alpha);
-    void emergencyInsert(VertexId local, std::uint64_t alpha);
     void spillOverwrite(VertexId local);
     void spillFifo(VertexId local);
     void maybePrefetch();
@@ -139,7 +111,6 @@ class Vmu : public sim::SimObject
     /** Per-superblock active-block counters (the tracker module). */
     std::vector<std::uint32_t> counters;
     std::uint64_t totalTracked = 0;
-    bool spillLost = false; ///< degraded mode after spill.loss
 
     std::deque<Entry> buffer;
     std::uint32_t reservedSlots = 0;

@@ -133,30 +133,6 @@ VertexMapping::maxLocalCount() const
     return best;
 }
 
-void
-VertexMapping::materialize()
-{
-    if (kind == Kind::Explicit)
-        return;
-    std::vector<std::uint32_t> part_of(numVerts);
-    for (VertexId v = 0; v < numVerts; ++v)
-        part_of[v] = partOf(v);
-    *this = fromAssignment(std::move(part_of), numParts);
-}
-
-void
-VertexMapping::reassign(VertexId v, std::uint32_t new_part)
-{
-    NOVA_ASSERT(kind == Kind::Explicit,
-                "reassign needs a materialized mapping");
-    NOVA_ASSERT(v < numVerts && new_part < numParts);
-    NOVA_ASSERT(partOfVec[v] != new_part,
-                "reassigning a vertex to its own part");
-    partOfVec[v] = new_part;
-    localOfVec[v] = static_cast<VertexId>(globals[new_part].size());
-    globals[new_part].push_back(v);
-}
-
 VertexMapping
 randomMapping(VertexId num_vertices, std::uint32_t parts, std::uint64_t seed)
 {

@@ -63,22 +63,6 @@ class VertexMapping
     /** Largest localCount over all parts. */
     VertexId maxLocalCount() const;
 
-    /**
-     * Convert an arithmetic (interleave/chunk) mapping into the
-     * equivalent explicit one so individual vertices can be
-     * reassigned. No-op when already explicit.
-     */
-    void materialize();
-
-    /**
-     * Move global vertex v to `new_part`, appending it as that part's
-     * next local index. Only valid on a materialized mapping, and only
-     * for evacuating a *dead* part: v's stale slot stays in the old
-     * part's inverse table (nothing may query a dead part again), so
-     * surviving parts' local indices never shift.
-     */
-    void reassign(VertexId v, std::uint32_t new_part);
-
   private:
     enum class Kind { Interleave, Chunk, Explicit };
 

@@ -1,6 +1,5 @@
 #include "mem/cache.hh"
 
-#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
 namespace nova::mem
@@ -149,38 +148,6 @@ DirectMappedCache::postWriteback(sim::Addr victim_addr)
     // Posted write-back, retried until the channel accepts it.
     if (!mem.tryAccess(victim_addr, cfg.lineBytes, true, {}))
         mem.waitForSpace([this, victim_addr] { postWriteback(victim_addr); });
-}
-
-void
-DirectMappedCache::saveState(sim::CheckpointWriter &w) const
-{
-    NOVA_ASSERT(mshrByLine.empty() && spaceWaiters.empty() &&
-                    freeMshrs.size() == mshrs.size(),
-                "checkpointing cache '", name(), "' with outstanding misses");
-    std::vector<std::uint64_t> packed;
-    packed.reserve(lines.size());
-    for (const Line &line : lines)
-        packed.push_back((line.tag << 2) |
-                         (static_cast<std::uint64_t>(line.dirty) << 1) |
-                         static_cast<std::uint64_t>(line.valid));
-    w.u64vec("lines", packed);
-    sim::saveGroupStats(w, statistics());
-}
-
-void
-DirectMappedCache::restoreState(sim::CheckpointReader &r)
-{
-    NOVA_ASSERT(mshrByLine.empty(), "restoring cache '", name(),
-                "' with outstanding misses");
-    const std::vector<std::uint64_t> packed = r.u64vec("lines");
-    if (packed.size() != lines.size())
-        sim::fatal("checkpoint line count mismatch for '", name(), "'");
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        lines[i].valid = packed[i] & 1;
-        lines[i].dirty = (packed[i] >> 1) & 1;
-        lines[i].tag = packed[i] >> 2;
-    }
-    sim::restoreGroupStats(r, statistics());
 }
 
 void

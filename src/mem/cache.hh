@@ -94,11 +94,6 @@ class DirectMappedCache : public sim::SimObject
     sim::stats::Scalar eccCorrected; ///< line ECC events corrected inline
     /** @} */
 
-    /** @{ @name Checkpoint hooks (tag/valid/dirty array + stats) */
-    void saveState(sim::CheckpointWriter &w) const override;
-    void restoreState(sim::CheckpointReader &r) override;
-    /** @} */
-
   private:
     struct Line
     {

@@ -4,7 +4,6 @@
 #include <bit>
 #include <memory>
 
-#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
 namespace nova::mem
@@ -268,44 +267,6 @@ DramChannel::issueOne()
     }
 }
 
-void
-DramChannel::saveState(sim::CheckpointWriter &w) const
-{
-    NOVA_ASSERT(queue.empty() && spaceWaiters.empty() &&
-                    !issueEvent.scheduled(),
-                "checkpointing DRAM channel '", name(),
-                "' with in-flight work");
-    w.u64vec("bankReadyAt",
-             std::vector<std::uint64_t>(bankReadyAt.begin(),
-                                        bankReadyAt.end()));
-    std::vector<std::uint64_t> rows;
-    rows.reserve(openRow.size());
-    for (std::int64_t r : openRow)
-        rows.push_back(static_cast<std::uint64_t>(r));
-    w.u64vec("openRow", rows);
-    w.u64("busFreeAt", busFreeAt);
-    w.u64("nextIssueAt", nextIssueAt);
-    sim::saveGroupStats(w, statistics());
-}
-
-void
-DramChannel::restoreState(sim::CheckpointReader &r)
-{
-    NOVA_ASSERT(queue.empty(), "restoring DRAM channel '", name(),
-                "' with in-flight work");
-    const std::vector<std::uint64_t> ready = r.u64vec("bankReadyAt");
-    const std::vector<std::uint64_t> rows = r.u64vec("openRow");
-    if (ready.size() != bankReadyAt.size() || rows.size() != openRow.size())
-        sim::fatal("checkpoint bank count mismatch for '", name(), "'");
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-        bankReadyAt[i] = ready[i];
-        openRow[i] = static_cast<std::int64_t>(rows[i]);
-    }
-    busFreeAt = r.u64("busFreeAt");
-    nextIssueAt = r.u64("nextIssueAt");
-    sim::restoreGroupStats(r, statistics());
-}
-
 double
 DramChannel::achievedBytesPerSec() const
 {
@@ -412,20 +373,6 @@ MemorySystem::waitForSpace(std::function<void()> retry)
         if (channels[i]->queued() > channels[worst]->queued())
             worst = i;
     channels[worst]->waitForSpace(std::move(retry));
-}
-
-void
-MemorySystem::saveState(sim::CheckpointWriter &w) const
-{
-    for (const DramChannel *ch : channels)
-        ch->saveState(w);
-}
-
-void
-MemorySystem::restoreState(sim::CheckpointReader &r)
-{
-    for (DramChannel *ch : channels)
-        ch->restoreState(r);
 }
 
 double

@@ -126,11 +126,6 @@ class DramChannel : public sim::SimObject
     /** Achieved bandwidth over the elapsed simulated time. */
     double achievedBytesPerSec() const;
 
-    /** @{ @name Checkpoint hooks (bank/row/bus registers + stats) */
-    void saveState(sim::CheckpointWriter &w) const override;
-    void restoreState(sim::CheckpointReader &r) override;
-    /** @} */
-
   private:
     struct Request
     {
@@ -216,11 +211,6 @@ class MemorySystem : public sim::SimObject
 
     /** Total bytes transferred (read + written). */
     double totalBytes() const;
-
-    /** @{ @name Checkpoint hooks (forwarded to every channel) */
-    void saveState(sim::CheckpointWriter &w) const override;
-    void restoreState(sim::CheckpointReader &r) override;
-    /** @} */
 
   private:
     DramChannel &channelFor(Addr addr);

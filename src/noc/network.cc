@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
 namespace nova::noc
@@ -38,9 +37,6 @@ Network::Network(std::string name, sim::EventQueue &queue,
     statistics().addScalar("retryBackoffTicks", &retryBackoffTicks);
     statistics().addScalar("duplicatesDiscarded", &duplicatesDiscarded);
     statistics().addScalar("reorders", &reorders);
-    statistics().addScalar("reroutes", &reroutes);
-    statistics().addScalar("rerouteRetries", &rerouteRetries);
-    statistics().addScalar("rerouteDelayTicks", &rerouteDelayTicks);
 
     if (sim::FaultInjector *inj = queue.faultInjector()) {
         dropPoint = inj->registerPoint("noc.drop", this->name());
@@ -113,43 +109,8 @@ Network::popInbound(std::uint32_t pe)
 }
 
 void
-Network::setLinkDown(std::uint32_t gpn)
-{
-    const std::uint32_t num_gpns = cfg.numPes / cfg.pesPerGpn;
-    NOVA_ASSERT(gpn < num_gpns, "link-down target out of range");
-    if (linkDownGpn.empty())
-        linkDownGpn.assign(num_gpns, 0);
-    linkDownGpn[gpn] = 1;
-}
-
-Tick
-Network::linkDownDelay() const
-{
-    Tick wait = cfg.xbarLatency;
-    for (std::uint32_t a = 0; a <= cfg.retryBackoffCap; ++a)
-        wait = sim::tickAdd(wait,
-                            sim::tickMul(cfg.retryTimeout, Tick(1) << a));
-    return wait;
-}
-
-void
 Network::deliver(const Message &msg, Tick inject_tick)
 {
-    if (needsReroute(msg)) {
-        // The primary crossbar path is hard-down: the sender exhausts
-        // the bounded retry ladder, then the flit crosses via the
-        // maintenance path. Deterministic (no randomness), so faulted
-        // runs stay replayable.
-        const Tick wait = linkDownDelay();
-        reroutes += 1;
-        rerouteRetries += static_cast<double>(cfg.retryBackoffCap + 1);
-        rerouteDelayTicks += static_cast<double>(wait);
-        Message copy = msg;
-        eventQueue().scheduleIn(wait, [this, copy, inject_tick] {
-            deliverAttempt(copy, inject_tick, 0);
-        });
-        return;
-    }
     deliverAttempt(msg, inject_tick, 0);
 }
 
@@ -198,31 +159,6 @@ Network::deliverAttempt(const Message &msg, Tick inject_tick,
     q.push_back(msg);
     if (was_empty && inboundNotify[msg.dstPe])
         inboundNotify[msg.dstPe]();
-}
-
-void
-Network::saveState(sim::CheckpointWriter &w) const
-{
-    NOVA_ASSERT(inFlight == 0 && waiters.empty(),
-                "checkpointing network '", name(),
-                "' with messages in flight");
-    w.u64vec("lastInjectAt",
-             std::vector<std::uint64_t>(lastInjectAt.begin(),
-                                        lastInjectAt.end()));
-    sim::saveGroupStats(w, statistics());
-}
-
-void
-Network::restoreState(sim::CheckpointReader &r)
-{
-    NOVA_ASSERT(inFlight == 0, "restoring network '", name(),
-                "' with messages in flight");
-    const std::vector<std::uint64_t> last = r.u64vec("lastInjectAt");
-    if (last.size() != lastInjectAt.size())
-        sim::fatal("checkpoint PE count mismatch for '", name(), "'");
-    for (std::size_t i = 0; i < last.size(); ++i)
-        lastInjectAt[i] = last[i];
-    sim::restoreGroupStats(r, statistics());
 }
 
 void

@@ -118,23 +118,6 @@ class Network : public sim::SimObject
     /** Messages currently inside the network or in inbound queues. */
     virtual std::uint64_t messagesInNetwork() const { return inFlight; }
 
-    /**
-     * Hard-fault hook (noc.linkdown@gpn<K>): GPN `gpn`'s crossbar link
-     * is permanently down. Only called at a BSP barrier (no messages in
-     * flight). Afterwards every cross-GPN message touching that GPN
-     * pays a deterministic penalty — the sender times out through the
-     * full exponential-backoff ladder against the dead primary path,
-     * then the flit crosses via a maintenance path (one extra crossbar
-     * traversal) — and is counted by the reroute statistics.
-     */
-    void setLinkDown(std::uint32_t gpn);
-
-    /** True once setLinkDown(gpn) was applied. */
-    bool linkIsDown(std::uint32_t gpn) const
-    {
-        return gpn < linkDownGpn.size() && linkDownGpn[gpn] != 0;
-    }
-
     /** @{ @name Statistics */
     sim::stats::Scalar messagesSent;
     sim::stats::Scalar bytesSent;
@@ -149,14 +132,6 @@ class Network : public sim::SimObject
     sim::stats::Scalar retryBackoffTicks;   ///< total backoff wait
     sim::stats::Scalar duplicatesDiscarded; ///< dedup'd at the receiver
     sim::stats::Scalar reorders;            ///< arrivals out of inject order
-    sim::stats::Scalar reroutes;            ///< messages past a dead link
-    sim::stats::Scalar rerouteRetries;      ///< timeouts against dead links
-    sim::stats::Scalar rerouteDelayTicks;   ///< total reroute wait
-    /** @} */
-
-    /** @{ @name Checkpoint hooks (delivery-order trackers + stats) */
-    void saveState(sim::CheckpointWriter &w) const override;
-    void restoreState(sim::CheckpointReader &r) override;
     /** @} */
 
   protected:
@@ -212,23 +187,6 @@ class Network : public sim::SimObject
     /** Helper: serialization ticks for one message at `gbps` GB/s. */
     Tick serializationTicks(double gbps) const;
 
-    /** True when `msg` crosses GPNs through a dead crossbar link. */
-    bool needsReroute(const Message &msg) const
-    {
-        if (linkDownGpn.empty())
-            return false;
-        const std::uint32_t sg = gpnOf(msg.srcPe);
-        const std::uint32_t dg = gpnOf(msg.dstPe);
-        return sg != dg && (linkDownGpn[sg] != 0 || linkDownGpn[dg] != 0);
-    }
-
-    /**
-     * Deterministic penalty a rerouted message pays: the full
-     * exponential-backoff ladder (retryBackoffCap + 1 timeouts) plus
-     * one maintenance-path crossbar traversal.
-     */
-    Tick linkDownDelay() const;
-
     std::uint32_t gpnOf(std::uint32_t pe) const
     {
         return pe / cfg.pesPerGpn;
@@ -255,12 +213,6 @@ class Network : public sim::SimObject
     std::uint64_t inFlight = 0;
     /** Last delivered inject tick per destination (reorder detection). */
     std::vector<Tick> lastInjectAt;
-    /**
-     * Per-GPN dead-crossbar-link flags; empty until the first
-     * setLinkDown(). Mutated only at BSP barriers (global quiescence),
-     * read by the delivery paths.
-     */
-    std::vector<std::uint8_t> linkDownGpn;
     sim::FaultPoint *dropPoint = nullptr;    ///< "noc.drop"
     sim::FaultPoint *corruptPoint = nullptr; ///< "noc.corrupt"
     sim::FaultPoint *dupPoint = nullptr;     ///< "noc.dup"

@@ -1,6 +1,5 @@
 #include "noc/sharded.hh"
 
-#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 
 namespace nova::noc
@@ -71,20 +70,7 @@ ShardedHierarchicalNetwork::ShardedHierarchicalNetwork(
         auto uplink_exit = [this, g](const Message &msg, Tick inject,
                                      Tick exit_tick) {
             const std::uint32_t dst = gpnOf(msg.dstPe);
-            Tick when = exit_tick;
-            if (needsReroute(msg)) {
-                // Same deterministic dead-link penalty as the serial
-                // fabric: exhaust the retry ladder, then cross via the
-                // maintenance path. Flags mutate only at barriers, so
-                // this read off the shard thread is race-free.
-                const Tick wait = linkDownDelay();
-                Shard &sh = *shards[g];
-                ++sh.d.reroutes;
-                sh.d.rerouteRetries += cfg.retryBackoffCap + 1;
-                sh.d.rerouteDelayTicks += wait;
-                when = sim::tickAdd(when, wait);
-            }
-            sched.postCross(g, dst, when, sim::defaultPriority,
+            sched.postCross(g, dst, exit_tick, sim::defaultPriority,
                             [this, dst, msg, inject] {
                                 shards[dst]->downlink->push(msg, inject);
                             });
@@ -291,11 +277,8 @@ ShardedHierarchicalNetwork::foldStats()
         crossGpnMessages += static_cast<double>(d.crossGpnMessages);
         sendRejects += static_cast<double>(d.sendRejects);
         reorders += static_cast<double>(d.reorders);
-        reroutes += static_cast<double>(d.reroutes);
-        rerouteRetries += static_cast<double>(d.rerouteRetries);
         bytesSent += d.bytesSent;
         totalLatency += d.totalLatency;
-        rerouteDelayTicks += static_cast<double>(d.rerouteDelayTicks);
         d = StatDeltas{};
     }
 }
@@ -305,40 +288,6 @@ ShardedHierarchicalNetwork::route(const Message &msg)
 {
     (void)msg;
     sim::panic("sharded fabric routes through trySend only");
-}
-
-void
-ShardedHierarchicalNetwork::saveState(sim::CheckpointWriter &w) const
-{
-    std::vector<std::uint64_t> last(cfg.numPes, 0);
-    for (std::uint32_t g = 0; g < shards.size(); ++g) {
-        const Shard &sh = *shards[g];
-        NOVA_ASSERT(sh.inFlight == 0 && sh.waiters.empty(),
-                    "checkpointing network '", name(),
-                    "' with messages in flight");
-        NOVA_ASSERT(sh.d.messagesSent == 0 && sh.d.selfMessages == 0,
-                    "checkpointing network '", name(),
-                    "' with unfolded statistics (call foldStats())");
-        for (std::uint32_t l = 0; l < cfg.pesPerGpn; ++l)
-            last[g * cfg.pesPerGpn + l] = sh.lastInjectAt[l];
-    }
-    // Same key layout as the serial fabric so the reader code is shared.
-    w.u64vec("lastInjectAt", last);
-    sim::saveGroupStats(w, statistics());
-}
-
-void
-ShardedHierarchicalNetwork::restoreState(sim::CheckpointReader &r)
-{
-    NOVA_ASSERT(messagesInNetwork() == 0, "restoring network '", name(),
-                "' with messages in flight");
-    const std::vector<std::uint64_t> last = r.u64vec("lastInjectAt");
-    if (last.size() != cfg.numPes)
-        sim::fatal("checkpoint PE count mismatch for '", name(), "'");
-    for (std::uint32_t g = 0; g < shards.size(); ++g)
-        for (std::uint32_t l = 0; l < cfg.pesPerGpn; ++l)
-            shards[g]->lastInjectAt[l] = last[g * cfg.pesPerGpn + l];
-    sim::restoreGroupStats(r, statistics());
 }
 
 } // namespace nova::noc

@@ -82,9 +82,6 @@ class ShardedHierarchicalNetwork : public Network
      */
     void foldStats();
 
-    void saveState(sim::CheckpointWriter &w) const override;
-    void restoreState(sim::CheckpointReader &r) override;
-
   protected:
     /** Unreachable: trySend is fully overridden. */
     [[noreturn]] bool route(const Message &msg) override;
@@ -149,9 +146,6 @@ class ShardedHierarchicalNetwork : public Network
         std::uint64_t crossGpnMessages = 0;
         std::uint64_t sendRejects = 0;
         std::uint64_t reorders = 0;
-        std::uint64_t reroutes = 0;
-        std::uint64_t rerouteRetries = 0;
-        std::uint64_t rerouteDelayTicks = 0;
         double bytesSent = 0;
         double totalLatency = 0;
     };

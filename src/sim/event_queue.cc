@@ -249,32 +249,4 @@ EventQueue::recentEvents() const
     return out;
 }
 
-void
-EventQueue::saveSchedulingState(Tick &tick, std::uint64_t &next_seq,
-                                std::uint64_t &executed_count,
-                                std::uint64_t &fingerprint_value) const
-{
-    NOVA_ASSERT(empty(),
-                "saving event-queue state with events still pending");
-    tick = curTick;
-    next_seq = nextSeq;
-    executed_count = numExecuted;
-    fingerprint_value = fp;
-}
-
-void
-EventQueue::restoreSchedulingState(Tick tick, std::uint64_t next_seq,
-                                   std::uint64_t executed_count,
-                                   std::uint64_t fingerprint_value)
-{
-    NOVA_ASSERT(empty(),
-                "restoring event-queue state with events still pending");
-    NOVA_ASSERT(tick >= curTick, "restored tick behind current tick");
-    curTick = tick;
-    scanBucket = tick >> bucketShift;
-    nextSeq = next_seq;
-    numExecuted = executed_count;
-    fp = fingerprint_value;
-}
-
 } // namespace nova::sim

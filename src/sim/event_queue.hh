@@ -19,12 +19,13 @@
  *    list, so a schedule/execute pair does no container reallocation,
  *    heap siftings move compact keys instead of whole closures, and
  *    comparisons read contiguous heap memory without chasing pool
- *    pointers. Chosen over a pairing heap because the smoke bench
- *    (bench/perf_smoke.cc) showed the win comes from eliminating the
- *    O(log n) closure moves of the binary heap, which a pointer-based
- *    pairing heap only halves, while bucket indexing makes push/pop
- *    O(1) for the near-future deltas that dominate (clock edges, DRAM
- *    and link latencies are all well inside the window).
+ *    pointers. Chosen over a pairing heap because the events/sec
+ *    suite it landed with (BENCH_5.json) showed the win comes from
+ *    eliminating the O(log n) closure moves of the binary heap, which
+ *    a pointer-based pairing heap only halves, while bucket indexing
+ *    makes push/pop O(1) for the near-future deltas that dominate
+ *    (clock edges, DRAM and link latencies are all well inside the
+ *    window).
  *  - LegacyHeap: the original std::priority_queue of whole items; kept
  *    as the bit-exact ordering reference for differential cross-checks
  *    and as the "pre-change queue" yardstick in perf benches.
@@ -252,21 +253,6 @@ class EventQueue
 
     /** Ring capacity of the recent-event log. */
     static constexpr std::size_t recentCapacity = 64;
-
-    /**
-     * @{ @name Checkpoint support
-     * The scheduling state that must survive a checkpoint: current tick,
-     * the next sequence number, the executed-event count and the order
-     * fingerprint. Only valid at quiescence (empty queue); restoring
-     * into a non-empty queue is a bug.
-     */
-    void saveSchedulingState(Tick &tick, std::uint64_t &next_seq,
-                             std::uint64_t &executed_count,
-                             std::uint64_t &fingerprint_value) const;
-    void restoreSchedulingState(Tick tick, std::uint64_t next_seq,
-                                std::uint64_t executed_count,
-                                std::uint64_t fingerprint_value);
-    /** @} */
 
     /**
      * Advance the clock of an empty queue without executing anything.

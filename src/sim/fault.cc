@@ -3,7 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "sim/checkpoint.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
@@ -26,30 +25,6 @@ kindKnown(const std::string &kind)
         if (kind == k)
             return true;
     return false;
-}
-
-/** Permanent-failure kinds; applied once at a BSP barrier. */
-struct HardKindSpec
-{
-    const char *name;
-    HardFault::Kind kind;
-    const char *instancePrefix; ///< required @instance shape
-};
-
-const HardKindSpec hardKindSpecs[] = {
-    {"gpn.dead", HardFault::Kind::GpnDead, "gpn"},
-    {"shard.crash", HardFault::Kind::ShardCrash, "gpn"},
-    {"spill.loss", HardFault::Kind::SpillLoss, "pe"},
-    {"noc.linkdown", HardFault::Kind::LinkDown, "gpn"},
-};
-
-const HardKindSpec *
-hardKindSpec(const std::string &kind)
-{
-    for (const HardKindSpec &s : hardKindSpecs)
-        if (kind == s.name)
-            return &s;
-    return nullptr;
 }
 
 bool
@@ -133,10 +108,9 @@ parseProb(const std::string &s, double &out)
     }
 }
 
-/** Parse one schedule into actions + hard faults; empty = success. */
+/** Parse one schedule into actions; empty = success. */
 std::string
-parseSchedule(const std::string &schedule, std::vector<FaultAction> &out,
-              std::vector<HardFault> &hard_out)
+parseSchedule(const std::string &schedule, std::vector<FaultAction> &out)
 {
     if (schedule.empty())
         return "";
@@ -157,38 +131,10 @@ parseSchedule(const std::string &schedule, std::vector<FaultAction> &out,
         if (at != std::string::npos)
             action.instancePrefix = target.substr(at + 1);
 
-        if (const HardKindSpec *spec = hardKindSpec(action.kind)) {
-            if (fields.size() != 2)
-                return "hard fault '" + entry + "' takes no mask field";
-            if (fields[1].rfind("tick=", 0) != 0)
-                return "hard fault '" + entry +
-                       "' needs a tick=<T> trigger";
-            HardFault hf;
-            hf.kind = spec->kind;
-            if (!parseU64(fields[1].substr(5), hf.atTick))
-                return "bad trigger '" + fields[1] +
-                       "' (want tick=<non-negative int>)";
-            const std::string want(spec->instancePrefix);
-            if (action.instancePrefix.rfind(want, 0) != 0 ||
-                action.instancePrefix.size() == want.size())
-                return "hard fault '" + action.kind + "' needs @" + want +
-                       "<index> (got '" + action.instancePrefix + "')";
-            std::uint64_t idx = 0;
-            if (!parseU64(action.instancePrefix.substr(want.size()), idx))
-                return "hard fault '" + action.kind + "' needs @" + want +
-                       "<index> (got '" + action.instancePrefix + "')";
-            hf.target = static_cast<std::uint32_t>(idx);
-            hard_out.push_back(hf);
-            continue;
-        }
-
         if (!kindKnown(action.kind))
             return "unknown fault kind '" + action.kind + "'";
 
         const std::string &trig = fields[1];
-        if (trig.rfind("tick=", 0) == 0)
-            return "trigger 'tick=' is only valid for hard fault kinds "
-                   "(gpn.dead, shard.crash, spill.loss, noc.linkdown)";
         if (trig.rfind("n=", 0) == 0) {
             action.trigger = FaultAction::Trigger::Nth;
             if (!parseU64(trig.substr(2), action.n) || action.n == 0)
@@ -263,30 +209,13 @@ FaultPoint::fire(std::uint64_t *mask_out)
     return true;
 }
 
-const char *
-hardFaultKindName(HardFault::Kind kind)
-{
-    switch (kind) {
-      case HardFault::Kind::GpnDead:
-        return "gpn.dead";
-      case HardFault::Kind::ShardCrash:
-        return "shard.crash";
-      case HardFault::Kind::SpillLoss:
-        return "spill.loss";
-      case HardFault::Kind::LinkDown:
-        return "noc.linkdown";
-    }
-    return "?";
-}
-
 FaultInjector::FaultInjector(std::uint64_t seed_value) : seed(seed_value) {}
 
 std::string
 FaultInjector::validateSchedule(const std::string &schedule)
 {
     std::vector<FaultAction> scratch;
-    std::vector<HardFault> hard_scratch;
-    return parseSchedule(schedule, scratch, hard_scratch);
+    return parseSchedule(schedule, scratch);
 }
 
 void
@@ -295,13 +224,11 @@ FaultInjector::configure(const std::string &schedule)
     NOVA_ASSERT(pts.empty(),
                 "FaultInjector::configure after points were registered");
     std::vector<FaultAction> parsed;
-    std::vector<HardFault> hard_parsed;
-    const std::string err = parseSchedule(schedule, parsed, hard_parsed);
+    const std::string err = parseSchedule(schedule, parsed);
     if (!err.empty())
         fatal("bad fault schedule '", schedule, "': ", err);
     scheduleText = schedule;
     actions = std::move(parsed);
-    hards = std::move(hard_parsed);
 }
 
 FaultPoint *
@@ -337,57 +264,6 @@ FaultInjector::totalFired() const
     for (const auto &p : pts)
         total += p->nFired;
     return total;
-}
-
-void
-FaultInjector::saveState(CheckpointWriter &w) const
-{
-    w.u64("fault.points", pts.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        const FaultPoint &p = *pts[i];
-        const std::string prefix = "fault.p" + std::to_string(i);
-        w.str(prefix + ".id", p.kindName + "@" + p.instanceName);
-        w.u64(prefix + ".count", p.count);
-        w.u64(prefix + ".fired", p.nFired);
-        std::vector<std::uint64_t> rngWords;
-        for (const FaultPoint::Match &m : p.matches) {
-            const auto st = m.rng.saveState();
-            rngWords.insert(rngWords.end(), st.begin(), st.end());
-        }
-        w.u64vec(prefix + ".rng", rngWords);
-    }
-}
-
-void
-FaultInjector::restoreState(CheckpointReader &r)
-{
-    const std::uint64_t n = r.u64("fault.points");
-    if (n != pts.size())
-        fatal("checkpoint fault-point count mismatch: file has ", n,
-              ", run has ", pts.size(),
-              " (different configuration or fault schedule?)");
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        FaultPoint &p = *pts[i];
-        const std::string prefix = "fault.p" + std::to_string(i);
-        const std::string id = r.str(prefix + ".id");
-        if (id != p.kindName + "@" + p.instanceName)
-            fatal("checkpoint fault point ", i, " is '", id,
-                  "' but the run registered '",
-                  p.kindName + "@" + p.instanceName, "'");
-        p.count = r.u64(prefix + ".count");
-        p.nFired = r.u64(prefix + ".fired");
-        const std::vector<std::uint64_t> rngWords =
-            r.u64vec(prefix + ".rng");
-        if (rngWords.size() != p.matches.size() * 4)
-            fatal("checkpoint rng state size mismatch for fault point '", id,
-                  "'");
-        for (std::size_t m = 0; m < p.matches.size(); ++m) {
-            std::array<std::uint64_t, 4> st{};
-            for (std::size_t k = 0; k < 4; ++k)
-                st[k] = rngWords[m * 4 + k];
-            p.matches[m].rng.restoreState(st);
-        }
-    }
 }
 
 Watchdog::Watchdog(EventQueue &queue, std::uint64_t check_interval_events,

@@ -19,21 +19,10 @@
  *   trigger  := 'n=' N        fire exactly at the N-th opportunity (1-based)
  *             | 'every=' N    fire at every N-th opportunity
  *             | 'p=' P        fire with probability P per opportunity
- *             | 'tick=' T     hard faults only: apply at the first BSP
- *                             barrier at or after simulated tick T
  *
  * e.g. `dram.bitflip:every=64:mask=3+noc.drop@gpn0:n=5`. Known kinds are
  * listed in docs/RESILIENCE.md; configure() rejects unknown kinds and
  * malformed entries via fatal().
- *
- * Hard (permanent) faults share the grammar but not the opportunity
- * machinery: `gpn.dead@gpn1:tick=T`, `shard.crash@gpn1:tick=T`,
- * `spill.loss@pe3:tick=T` and `noc.linkdown@gpn1:tick=T` parse into
- * HardFault records that the system applies once, at the first BSP
- * barrier at or after tick T (the only points of global quiescence, so
- * failover can remap state without serializing in-flight events). They
- * require a `tick=` trigger and a targeted instance; transient kinds
- * reject `tick=`. See docs/RESILIENCE.md "Hard faults & degraded mode".
  *
  * The Watchdog detects hangs without perturbing the event stream: the
  * EventQueue invokes its check out-of-band every N executed events (no
@@ -59,13 +48,10 @@
 #include <vector>
 
 #include "sim/random.hh"
-#include "sim/types.hh"
 
 namespace nova::sim
 {
 
-class CheckpointReader;
-class CheckpointWriter;
 class EventQueue;
 
 /** One parsed schedule entry: which points it arms and when they fire. */
@@ -85,30 +71,6 @@ struct FaultAction
     double p = 0;               ///< for Prob
     std::uint64_t mask = 1;     ///< payload (e.g. bits to flip)
 };
-
-/**
- * One parsed permanent-failure entry. Unlike transient FaultActions,
- * hard faults are not opportunity counters: the system applies each
- * one exactly once, at the first BSP barrier whose tick is >= atTick,
- * then runs on in degraded mode (docs/RESILIENCE.md).
- */
-struct HardFault
-{
-    enum class Kind
-    {
-        GpnDead,    ///< gpn.dead@gpn<K>: GPN K dies; its slices remap
-        ShardCrash, ///< shard.crash@gpn<K>: checkpoint, then crash
-        SpillLoss,  ///< spill.loss@pe<K>: PE K's spill region is lost
-        LinkDown,   ///< noc.linkdown@gpn<K>: GPN K's crossbar link dies
-    };
-
-    Kind kind = Kind::GpnDead;
-    std::uint32_t target = 0; ///< GPN (or PE for SpillLoss) index
-    Tick atTick = 0;          ///< barrier threshold (tick= trigger)
-};
-
-/** Short stable name of a hard-fault kind ("gpn.dead", ...). */
-const char *hardFaultKindName(HardFault::Kind kind);
 
 /**
  * A registered injection opportunity stream inside one component.
@@ -174,13 +136,7 @@ class FaultInjector
     static std::string validateSchedule(const std::string &schedule);
 
     /** True when at least one schedule entry is armed. */
-    bool enabled() const { return !actions.empty() || !hards.empty(); }
-
-    /** True when any *transient* (opportunity-counter) entry is armed. */
-    bool hasTransient() const { return !actions.empty(); }
-
-    /** Parsed permanent-failure entries, in schedule order. */
-    const std::vector<HardFault> &hardFaults() const { return hards; }
+    bool enabled() const { return !actions.empty(); }
 
     /** The schedule string this injector was configured with. */
     const std::string &schedule() const { return scheduleText; }
@@ -202,16 +158,10 @@ class FaultInjector
     /** Total faults fired across every point. */
     std::uint64_t totalFired() const;
 
-    /** @{ @name Checkpoint support (opportunity counters + rng streams) */
-    void saveState(CheckpointWriter &w) const;
-    void restoreState(CheckpointReader &r);
-    /** @} */
-
   private:
     std::uint64_t seed;
     std::string scheduleText;
     std::vector<FaultAction> actions;
-    std::vector<HardFault> hards;
     std::vector<std::unique_ptr<FaultPoint>> pts;
 };
 

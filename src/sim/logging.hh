@@ -57,39 +57,7 @@ concat(const Args &...args)
     return os.str();
 }
 
-/**
- * The active checkpoint-generation annotation. Written only from the
- * coordinator at BSP barriers (workers are idle there), read when an
- * error is thrown.
- */
-// novalint:allow(shard-safety) mutated only at barrier quiescence
-inline std::string &
-checkpointContextSlot()
-{
-    static std::string ctx;
-    return ctx;
-}
-
 } // namespace detail
-
-/**
- * @{ @name Checkpoint-generation error context
- * When set (e.g. "gen 0 of pr.ckpt, iter 6"), every FatalError /
- * PanicError message carries the annotation so a crash or refusal can
- * be tied to the checkpoint the run was using. Cleared by passing "".
- */
-inline void
-setCheckpointContext(std::string ctx)
-{
-    detail::checkpointContextSlot() = std::move(ctx);
-}
-
-inline const std::string &
-checkpointContext()
-{
-    return detail::checkpointContextSlot();
-}
-/** @} */
 
 /**
  * Report an internal simulator bug and abort the simulation.
@@ -99,10 +67,7 @@ template <typename... Args>
 [[noreturn]] void
 panic(const Args &...args)
 {
-    std::string msg = "panic: " + detail::concat(args...);
-    if (!checkpointContext().empty())
-        msg += " [checkpoint: " + checkpointContext() + "]";
-    throw PanicError(msg);
+    throw PanicError("panic: " + detail::concat(args...));
 }
 
 /**
@@ -112,10 +77,7 @@ template <typename... Args>
 [[noreturn]] void
 fatal(const Args &...args)
 {
-    std::string msg = "fatal: " + detail::concat(args...);
-    if (!checkpointContext().empty())
-        msg += " [checkpoint: " + checkpointContext() + "]";
-    throw FatalError(msg);
+    throw FatalError("fatal: " + detail::concat(args...));
 }
 
 /** Emit a non-fatal warning to stderr. */

@@ -53,8 +53,6 @@ ParallelScheduler::postCross(std::uint32_t src_shard,
                              int priority, std::function<void()> fn)
 {
     NOVA_ASSERT(src_shard < numShards() && dst_shard < numShards());
-    if (!redirect.empty())
-        dst_shard = redirect[dst_shard];
     auto node = std::make_unique<MailNode>();
     node->when = when;
     node->priority = priority;
@@ -76,41 +74,6 @@ ParallelScheduler::setGuard(Tick max_tick, std::uint64_t max_events)
 {
     for (auto &sh : shards)
         sh->q.setGuard(max_tick, max_events);
-}
-
-void
-ParallelScheduler::retireShard(std::uint32_t s, std::uint32_t reassign_to)
-{
-    NOVA_ASSERT(s < numShards() && reassign_to < numShards());
-    NOVA_ASSERT(s != reassign_to, "a shard cannot adopt itself");
-    NOVA_ASSERT(!shardRetired(s) && !shardRetired(reassign_to),
-                "retire source must be live and target must survive");
-    if (retiredFlags.empty()) {
-        retiredFlags.assign(numShards(), 0);
-        redirect.resize(numShards());
-        for (std::uint32_t i = 0; i < numShards(); ++i)
-            redirect[i] = i;
-    }
-    retiredFlags[s] = 1;
-    for (std::uint32_t i = 0; i < numShards(); ++i)
-        if (redirect[i] == s)
-            redirect[i] = reassign_to;
-
-    // Fold whatever is still in the dead shard's mailbox into the
-    // survivor's stack; the canonical (when, priority, srcShard,
-    // srcSeq) sort at the next drain orders it deterministically.
-    MailNode *n =
-        mailboxes[s].head.exchange(nullptr, std::memory_order_acquire);
-    while (n) {
-        MailNode *next = n->next;
-        Mailbox &box = mailboxes[reassign_to];
-        n->next = box.head.load(std::memory_order_relaxed);
-        while (!box.head.compare_exchange_weak(n->next, n,
-                                               std::memory_order_release,
-                                               std::memory_order_relaxed)) {
-        }
-        n = next;
-    }
 }
 
 /**
@@ -156,8 +119,7 @@ ParallelScheduler::runLaneShards(std::uint32_t lane, Tick until)
 {
     const std::uint32_t stride = std::min(cfg.numThreads, numShards());
     for (std::uint32_t s = lane; s < numShards(); s += stride)
-        if (!shardRetired(s))
-            shards[s]->q.run(until);
+        shards[s]->q.run(until);
 }
 
 void
@@ -322,13 +284,11 @@ ParallelScheduler::runUntilQuiescent()
 
     // Resynchronize shard clocks so the next super-step's injections
     // (and their cross-shard consequences) share one time base.
-    // Retired shards keep their frozen clocks (they never run again).
     Tick m = 0;
     for (const auto &sh : shards)
         m = std::max(m, sh->q.now());
-    for (std::uint32_t s = 0; s < numShards(); ++s)
-        if (!shardRetired(s))
-            shards[s]->q.fastForward(m);
+    for (auto &sh : shards)
+        sh->q.fastForward(m);
     return total;
 }
 

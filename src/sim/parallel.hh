@@ -105,25 +105,6 @@ class ParallelScheduler
     void setGuard(Tick max_tick, std::uint64_t max_events);
 
     /**
-     * Failover (gpn.dead): permanently retire shard `s`. Every future
-     * cross-shard post addressed to it is redirected onto
-     * `reassign_to`, and anything still in its mailbox is folded into
-     * the survivor's (the canonical drain sort keeps the fold
-     * thread-count invariant; at a BSP barrier the mailbox is empty
-     * anyway). Coordinator thread only, at quiescence. The retired
-     * shard's queue never runs again — its clock, executed count and
-     * fingerprint contributions stay frozen, so the aggregate
-     * fingerprint remains deterministic.
-     */
-    void retireShard(std::uint32_t s, std::uint32_t reassign_to);
-
-    /** True when shard `s` was retired by retireShard(). */
-    bool shardRetired(std::uint32_t s) const
-    {
-        return s < retiredFlags.size() && retiredFlags[s] != 0;
-    }
-
-    /**
      * Run windows until every shard queue and mailbox is empty, then
      * resynchronize all shard clocks to the global maximum (so later
      * injections and cross-shard messages can never land in a shard's
@@ -141,8 +122,6 @@ class ParallelScheduler
     std::uint64_t fingerprint() const;
     /** The canonical merged-order fingerprint (deterministicMerge). */
     std::uint64_t mergedFingerprint() const { return mergedFp; }
-    /** Restore the merged fingerprint from a checkpoint. */
-    void setMergedFingerprint(std::uint64_t v) { mergedFp = v; }
     /** @} */
 
   private:
@@ -182,13 +161,6 @@ class ParallelScheduler
     Config cfg;
     std::vector<std::unique_ptr<Shard>> shards;
     std::vector<Mailbox> mailboxes; ///< one per destination shard
-    /**
-     * Retirement state; empty until the first retireShard(). Mutated
-     * only at quiescence (workers parked), read by postCross off shard
-     * threads.
-     */
-    std::vector<std::uint8_t> retiredFlags;
-    std::vector<std::uint32_t> redirect; ///< post-target overrides
     std::uint64_t mergedFp = 0xcbf29ce484222325ULL; // FNV-1a basis
 
     /** @{ @name Worker pool (present only when numThreads > 1) */

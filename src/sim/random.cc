@@ -82,17 +82,4 @@ Rng::split()
     return Rng(next() ^ 0xa5a5a5a55a5a5a5aULL);
 }
 
-std::array<std::uint64_t, 4>
-Rng::saveState() const
-{
-    return {s[0], s[1], s[2], s[3]};
-}
-
-void
-Rng::restoreState(const std::array<std::uint64_t, 4> &state)
-{
-    for (std::size_t i = 0; i < state.size(); ++i)
-        s[i] = state[i];
-}
-
 } // namespace nova::sim

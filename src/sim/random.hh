@@ -11,7 +11,6 @@
 #ifndef NOVA_SIM_RANDOM_HH
 #define NOVA_SIM_RANDOM_HH
 
-#include <array>
 #include <cstdint>
 
 namespace nova::sim
@@ -44,14 +43,6 @@ class Rng
      * component its own stream without correlation.
      */
     Rng split();
-
-    /** @{ @name Record/replay support
-     * The full generator state, so the verify harness can snapshot a
-     * stream mid-run and resume it bit-for-bit during replay.
-     */
-    std::array<std::uint64_t, 4> saveState() const;
-    void restoreState(const std::array<std::uint64_t, 4> &state);
-    /** @} */
 
   private:
     std::uint64_t s[4];

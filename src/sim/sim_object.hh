@@ -16,9 +16,6 @@
 namespace nova::sim
 {
 
-class CheckpointReader;
-class CheckpointWriter;
-
 /**
  * A named simulation component attached to an event queue.
  *
@@ -49,18 +46,6 @@ class SimObject
 
     /** Called once after the whole system has been wired together. */
     virtual void startup() {}
-
-    /**
-     * @{ @name Checkpoint hooks
-     * Serialize/restore this component's quiescent state (model
-     * registers and functional contents; statistics are handled
-     * separately via saveGroupStats). Components that keep no state
-     * beyond statistics use the empty defaults. Only called at global
-     * quiescence — no events pending, no messages in flight.
-     */
-    virtual void saveState(CheckpointWriter &w) const { (void)w; }
-    virtual void restoreState(CheckpointReader &r) { (void)r; }
-    /** @} */
 
   protected:
     /** Schedule a closure `delta` ticks in the future. */

@@ -43,97 +43,6 @@ Histogram::reset()
 }
 
 void
-Quantiles::sample(std::uint64_t v)
-{
-    vals.push_back(v);
-    dirty = true;
-}
-
-namespace
-{
-
-const std::vector<std::uint64_t> &
-sortedOf(std::vector<std::uint64_t> &sorted,
-         const std::vector<std::uint64_t> &vals, bool &dirty)
-{
-    if (dirty) {
-        sorted = vals;
-        std::sort(sorted.begin(), sorted.end());
-        dirty = false;
-    }
-    return sorted;
-}
-
-} // namespace
-
-std::uint64_t
-Quantiles::max() const
-{
-    const auto &s = sortedOf(sorted, vals, dirty);
-    return s.empty() ? 0 : s.back();
-}
-
-std::uint64_t
-Quantiles::mean() const
-{
-    if (vals.empty())
-        return 0;
-    std::uint64_t sum = 0;
-    for (std::uint64_t v : vals)
-        sum += v;
-    return sum / vals.size();
-}
-
-std::uint64_t
-Quantiles::percentile(unsigned p) const
-{
-    NOVA_ASSERT(p > 0 && p <= 100, "percentile wants 0 < p <= 100");
-    const auto &s = sortedOf(sorted, vals, dirty);
-    if (s.empty())
-        return 0;
-    // Nearest-rank: the ceil(p/100 * n)-th smallest, 1-indexed.
-    const std::uint64_t n = s.size();
-    const std::uint64_t rank = (p * n + 99) / 100;
-    return s[rank - 1];
-}
-
-void
-Quantiles::reset()
-{
-    vals.clear();
-    sorted.clear();
-    dirty = false;
-    countStat.reset();
-    meanStat.reset();
-    p50Stat.reset();
-    p95Stat.reset();
-    p99Stat.reset();
-    maxStat.reset();
-}
-
-void
-Quantiles::registerIn(Group &g, const std::string &prefix)
-{
-    g.addScalar(prefix + ".count", &countStat);
-    g.addScalar(prefix + ".mean", &meanStat);
-    g.addScalar(prefix + ".p50", &p50Stat);
-    g.addScalar(prefix + ".p95", &p95Stat);
-    g.addScalar(prefix + ".p99", &p99Stat);
-    g.addScalar(prefix + ".max", &maxStat);
-}
-
-void
-Quantiles::snapshot()
-{
-    countStat.set(static_cast<double>(count()));
-    meanStat.set(static_cast<double>(mean()));
-    p50Stat.set(static_cast<double>(percentile(50)));
-    p95Stat.set(static_cast<double>(percentile(95)));
-    p99Stat.set(static_cast<double>(percentile(99)));
-    maxStat.set(static_cast<double>(max()));
-}
-
-void
 Group::addScalar(const std::string &stat_name, Scalar *s)
 {
     NOVA_ASSERT(s != nullptr);
@@ -167,22 +76,6 @@ Group::collect(std::map<std::string, double> &out,
     }
     for (const Group *child : children)
         child->collect(out, base);
-}
-
-void
-Group::visitScalars(
-    const std::function<void(const std::string &, Scalar &)> &fn,
-    const std::string &prefix)
-{
-    const std::string base =
-        prefix.empty() ? name : (name.empty() ? prefix : prefix + "." + name);
-    for (auto &[stat_name, scalar] : scalars) {
-        const std::string full =
-            base.empty() ? stat_name : base + "." + stat_name;
-        fn(full, *scalar);
-    }
-    for (Group *child : children)
-        child->visitScalars(fn, base);
 }
 
 double

@@ -10,7 +10,6 @@
 #define NOVA_SIM_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -65,69 +64,6 @@ class Histogram
     double maxV = 0;
 };
 
-class Group;
-
-/**
- * Exact nearest-rank quantiles over integer samples (latencies in
- * ticks, queue depths). Samples are kept verbatim — serving campaigns
- * record at most a few thousand queries — so percentile(99) is the
- * textbook nearest-rank order statistic: deterministic, with no
- * interpolation or floating-point accumulation to diverge across
- * platforms. Exposed to a Group through registerIn(), which publishes
- * count/mean/p50/p95/p99/max as derived scalars at snapshot() time.
- */
-class Quantiles
-{
-  public:
-    /** Record one sample. */
-    void sample(std::uint64_t v);
-
-    std::uint64_t count() const { return vals.size(); }
-    std::uint64_t max() const;
-    /** Integer mean (floor), 0 when empty. */
-    std::uint64_t mean() const;
-
-    /**
-     * Nearest-rank percentile: the ceil(p/100 * n)-th smallest sample.
-     * @pre 0 < p <= 100. Returns 0 when no samples were recorded.
-     */
-    std::uint64_t percentile(unsigned p) const;
-
-    void reset();
-
-    /** @{ @name Checkpoint support
-     * The raw samples in insertion order; restoring them resumes the
-     * tracker bit-identically (quantiles are order-independent, so the
-     * insertion order only matters for byte-exact checkpoint files).
-     */
-    const std::vector<std::uint64_t> &samples() const { return vals; }
-    void
-    setSamples(std::vector<std::uint64_t> v)
-    {
-        vals = std::move(v);
-        sorted.clear();
-        dirty = true;
-    }
-    /** @} */
-
-    /**
-     * Register derived scalars (`<prefix>.count/mean/p50/p95/p99/max`)
-     * under `g`. The scalars live inside this object; call snapshot()
-     * after the last sample to refresh them.
-     */
-    void registerIn(Group &g, const std::string &prefix);
-
-    /** Refresh the registered derived scalars from the samples. */
-    void snapshot();
-
-  private:
-    std::vector<std::uint64_t> vals;
-    mutable std::vector<std::uint64_t> sorted; ///< lazily sorted copy
-    mutable bool dirty = false;
-
-    Scalar countStat, meanStat, p50Stat, p95Stat, p99Stat, maxStat;
-};
-
 /**
  * A named collection of statistics, hierarchically composable.
  *
@@ -165,15 +101,6 @@ class Group
     /** Flatten all scalars into `out` with dotted names. */
     void collect(std::map<std::string, double> &out,
                  const std::string &prefix = "") const;
-
-    /**
-     * Visit every registered scalar mutably with its dotted name,
-     * recursing into children. Used by checkpoint restore to write
-     * saved counter values back into live components.
-     */
-    void visitScalars(
-        const std::function<void(const std::string &, Scalar &)> &fn,
-        const std::string &prefix = "");
 
     /** Pretty-print all statistics. */
     void dump(std::ostream &os) const;

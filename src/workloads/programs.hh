@@ -13,8 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/checkpoint.hh"
-#include "sim/logging.hh"
 #include "workloads/vertex_program.hh"
 
 namespace nova::workloads
@@ -280,22 +278,6 @@ class PageRankProgram : public VertexProgram
     /** The converged (or budget-limited) PageRank vector. */
     const std::vector<double> &rank() const { return rankVec; }
 
-    void
-    saveCheckpoint(sim::CheckpointWriter &w) const override
-    {
-        w.f64vec("pr.rank", rankVec);
-    }
-
-    void
-    restoreCheckpoint(sim::CheckpointReader &r) override
-    {
-        const std::vector<double> rk = r.f64vec("pr.rank");
-        if (rk.size() != rankVec.size())
-            sim::fatal("checkpoint PageRank vector has ", rk.size(),
-                       " entries, program has ", rankVec.size());
-        rankVec = rk;
-    }
-
   private:
     double
     base() const
@@ -476,22 +458,6 @@ class BcBackwardProgram : public VertexProgram
 
     /** Per-vertex dependency (the BC contribution of this source). */
     const std::vector<double> &delta() const { return deltaVec; }
-
-    void
-    saveCheckpoint(sim::CheckpointWriter &w) const override
-    {
-        w.f64vec("bc.delta", deltaVec);
-    }
-
-    void
-    restoreCheckpoint(sim::CheckpointReader &r) override
-    {
-        const std::vector<double> dv = r.f64vec("bc.delta");
-        if (dv.size() != deltaVec.size())
-            sim::fatal("checkpoint BC delta vector has ", dv.size(),
-                       " entries, program has ", deltaVec.size());
-        deltaVec = dv;
-    }
 
   private:
     std::vector<std::uint32_t> level;

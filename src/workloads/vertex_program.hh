@@ -25,12 +25,6 @@
 
 #include "graph/csr.hh"
 
-namespace nova::sim
-{
-class CheckpointReader;
-class CheckpointWriter;
-} // namespace nova::sim
-
 namespace nova::workloads
 {
 
@@ -155,16 +149,6 @@ class VertexProgram
     /** Upper bound on BSP iterations (safety net / PR budget). */
     virtual std::uint64_t maxIterations() const { return 1u << 20; }
 
-    /** @} */
-
-    /** @{ @name Checkpoint hooks
-     *
-     * Programs holding mutable state outside the engine's vertex arrays
-     * (e.g. PageRank's rank vector) serialize it here; the default
-     * covers stateless programs.
-     */
-    virtual void saveCheckpoint(sim::CheckpointWriter &) const {}
-    virtual void restoreCheckpoint(sim::CheckpointReader &) {}
     /** @} */
 
   private:

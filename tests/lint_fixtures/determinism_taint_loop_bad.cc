@@ -1,20 +1,21 @@
-// Fixture: iterating an unordered_map directly into a checkpoint
-// writer -> determinism-taint fires inside the loop (bucket order
-// would be serialized).
-#include "sim/checkpoint.hh"
-
+// Fixture: folding an unordered_map's values straight into an order
+// fingerprint -> determinism-taint fires inside the loop (bucket order
+// would reach the fingerprint).
 #include <cstdint>
 #include <unordered_map>
 
 namespace nova
 {
 
-void
-savePending(sim::CheckpointWriter &w,
-            const std::unordered_map<std::uint32_t, std::uint64_t> &pending)
+std::uint64_t mixFingerprint(std::uint64_t fp, std::uint64_t v);
+
+std::uint64_t
+pendingDigest(const std::unordered_map<std::uint32_t, std::uint64_t> &pending)
 {
+    std::uint64_t fp = 0xcbf29ce484222325ULL;
     for (const auto &kv : pending)
-        w.u64(kv.second);
+        fp = mixFingerprint(fp, kv.second);
+    return fp;
 }
 
 } // namespace nova

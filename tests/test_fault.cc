@@ -120,6 +120,10 @@ TEST(FaultSchedule, MalformedSchedulesRejected)
                   "dram.bitflip:n=1:mask=nothex"),
               "");
     EXPECT_NE(FaultInjector::validateSchedule("+"), "");
+    // The grammar is transient-only: no permanent-failure kinds and no
+    // simulated-time trigger.
+    EXPECT_NE(FaultInjector::validateSchedule("gpn.dead@gpn1:tick=5"), "");
+    EXPECT_NE(FaultInjector::validateSchedule("dram.bitflip:tick=5"), "");
 }
 
 TEST(FaultSchedule, ConfigureRejectsBadInputByFatal)

@@ -320,24 +320,6 @@ TEST(Rng, SplitDecorrelates)
     EXPECT_LT(same, 2);
 }
 
-TEST(Rng, SaveRestoreStateReplaysStream)
-{
-    Rng rng(123);
-    for (int i = 0; i < 37; ++i)
-        rng.next(); // advance mid-stream
-    const auto state = rng.saveState();
-    std::vector<std::uint64_t> first;
-    for (int i = 0; i < 50; ++i)
-        first.push_back(rng.next());
-    rng.restoreState(state);
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(rng.next(), first[static_cast<std::size_t>(i)]);
-    // Restoring into a different generator works too.
-    Rng other(999);
-    other.restoreState(state);
-    EXPECT_EQ(other.next(), first[0]);
-}
-
 TEST(Simulator, SeededRunsAreBitIdentical)
 {
     // A random event storm driven by a seeded Rng must unfold the same

@@ -42,46 +42,11 @@
  *   --max-ticks=<n>       abort if simulated time passes n  [off]
  *   --max-events=<n>      abort after n events              [off]
  *   --watchdog=<n>        progress check every n events     [off]
- *   --checkpoint-every=<n> checkpoint every n BSP iterations
- *   --checkpoint-file=<p> checkpoint path              [nova.ckpt]
- *   --resume=<p>          restore state from a checkpoint file
- *   --stop-after=<n>      checkpoint after iteration n and stop
  *   --crash-bundle=<p>    crash-bundle path       [nova_crash.txt]
- *   --keep-generations=<k> checkpoint generations kept (newest at the
- *                    checkpoint file, older at <file>.1 ...; resume
- *                    falls back to the newest valid one)       [1]
  *
  * Exit codes: 0 success, 1 user error (FatalError, bad flags,
  * validation mismatch), 2 simulator bug (PanicError; a crash bundle
  * with a replay line is left behind).
- *
- * Multi-tenant serving subcommand (see docs/SERVING.md):
- *
- *   nova_cli serve --graph=rmat:256:1024 --arrivals=poisson:4000000 \
- *       --tenants=4 --duration=200000000 --report=serving.json
- *
- *   --graph=<spec>        resident graph (same grammar)  [rmat:256:1024]
- *   --arrivals=poisson:<gap>|trace:<path>        [poisson:4000000]
- *   --tenants=<N>         tenants sharing the deployment        [4]
- *   --duration=<T>        arrival horizon in ticks    [200000000]
- *   --groups=<N>          parallel PE groups                    [2]
- *   --gpns-per-group=<N>  GPNs per group                        [1]
- *   --quota=<N>           max in-flight queries per tenant      [4]
- *   --queue-cap=<N>       pending-queue cap per tenant (shed)  [16]
- *   --batch-max=<N>       max same-kind queries per dispatch    [4]
- *   --batch-window=<T>    batching wait in ticks          [2000000]
- *   --setup=<T>           per-dispatch setup ticks            [500]
- *   --contention=<P>      % service inflation per busy group   [10]
- *   --scale=<S> --seed=<N> --threads=<N> --queue-impl=...
- *   --ppr-iters=<N>       personalized-PageRank budget          [8]
- *   --report=<path>       write the nova-serving-1 JSON report
- *                         (default: print it on stdout)
- *   --stats               dump the serving statistics tree
- *   --ckpt-every=<N>      checkpoint every N completions      [off]
- *   --ckpt-file=<p>       campaign checkpoint path  [nova_serve.ckpt]
- *   --resume=<p>          resume a stopped campaign
- *   --stop-after=<N>      checkpoint after N completions and stop
- *   --keep-generations=<k> checkpoint generations kept           [1]
  *
  * Differential fuzzing subcommand (see docs/VERIFICATION.md):
  *
@@ -106,12 +71,6 @@
  *                    with {heap, calendar} x {1, N} host threads under
  *                    --deterministic-merge and require all four run
  *                    records bit-identical and reference-correct [N=4]
- *   --serve=<N>      serving determinism battery: N campaigns over
- *                    fuzzed graphs cycling through every structural
- *                    family, each mixing the three query kinds; every
- *                    campaign runs with {1, 2} host threads x {heap,
- *                    calendar} backends and all four nova-serving-1
- *                    reports must be bit-identical            [off]
  *   --verbose        print every case as it runs
  */
 
@@ -120,8 +79,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -129,7 +86,6 @@
 
 #include "baselines/ligra.hh"
 #include "baselines/polygraph.hh"
-#include "core/serving.hh"
 #include "core/system.hh"
 #include "graph/generators.hh"
 #include "sim/event_queue.hh"
@@ -179,20 +135,13 @@ struct CliOptions
     std::uint64_t maxTicks = 0;
     std::uint64_t maxEvents = 0;
     std::uint64_t watchdogEvents = 0;
-    std::uint64_t checkpointEvery = 0;
-    std::string checkpointFile = "nova.ckpt";
-    std::string resumeFile;
-    std::uint64_t stopAfter = 0;
     std::string crashBundle;
-    unsigned keepGenerations = 1;
 
     bool
     usesResilience() const
     {
         return !faultSchedule.empty() || maxTicks > 0 || maxEvents > 0 ||
-               watchdogEvents > 0 || checkpointEvery > 0 ||
-               !resumeFile.empty() || stopAfter > 0 ||
-               keepGenerations > 1;
+               watchdogEvents > 0;
     }
 };
 
@@ -273,8 +222,6 @@ parseArgs(int argc, char **argv)
         else if (takeValue(a, "--seed=", v))
             o.seed = parseU64(v, "--seed");
         else if (takeValue(a, "--faults=", o.faultSchedule) ||
-                 takeValue(a, "--checkpoint-file=", o.checkpointFile) ||
-                 takeValue(a, "--resume=", o.resumeFile) ||
                  takeValue(a, "--crash-bundle=", o.crashBundle))
             continue;
         else if (takeValue(a, "--fault-seed=", v))
@@ -285,16 +232,6 @@ parseArgs(int argc, char **argv)
             o.maxEvents = parseU64(v, "--max-events");
         else if (takeValue(a, "--watchdog=", v))
             o.watchdogEvents = parseU64(v, "--watchdog");
-        else if (takeValue(a, "--checkpoint-every=", v))
-            o.checkpointEvery = parseU64(v, "--checkpoint-every");
-        else if (takeValue(a, "--stop-after=", v))
-            o.stopAfter = parseU64(v, "--stop-after");
-        else if (takeValue(a, "--keep-generations=", v)) {
-            o.keepGenerations = static_cast<unsigned>(
-                parseU64(v, "--keep-generations"));
-            if (o.keepGenerations == 0)
-                sim::fatal("--keep-generations needs at least 1");
-        }
         else if (std::strcmp(a, "--no-validate") == 0)
             o.validate = false;
         else if (std::strcmp(a, "--stats") == 0)
@@ -401,19 +338,10 @@ makeEngine(const CliOptions &o)
             if (!err.empty())
                 sim::fatal("bad --faults schedule: ", err);
         }
-        auto system = std::make_unique<core::NovaSystem>(cfg);
-        core::CheckpointPolicy ckpt;
-        ckpt.everyIters = o.checkpointEvery;
-        ckpt.path = o.checkpointFile;
-        ckpt.resumePath = o.resumeFile;
-        ckpt.stopAfterIters = o.stopAfter;
-        ckpt.keepGenerations = o.keepGenerations;
-        system->setCheckpointPolicy(ckpt);
-        return system;
+        return std::make_unique<core::NovaSystem>(cfg);
     }
     if (o.usesResilience())
-        sim::fatal("--faults/--checkpoint-*/--resume/--stop-after/"
-                   "--watchdog/--max-* need --engine=nova");
+        sim::fatal("--faults/--watchdog/--max-* need --engine=nova");
     if (o.threads > 0 || o.deterministicMerge)
         sim::fatal("--threads/--deterministic-merge need --engine=nova");
     if (o.engine == "polygraph")
@@ -471,229 +399,11 @@ printDivergences(const verify::CaseOutcome &outcome)
     }
 }
 
-/**
- * `nova_cli serve ...`: one multi-tenant serving campaign
- * (docs/SERVING.md). Prints the canonical nova-serving-1 report on
- * stdout, or writes it to --report=<path> and prints a short summary.
- */
-int
-serveMain(int argc, char **argv)
-{
-    core::ServingConfig scfg;
-    std::string arrivals = "poisson:4000000";
-    std::string queue_impl;
-    std::string report_path;
-    bool dump_stats = false;
-
-    std::string v;
-    for (int i = 2; i < argc; ++i) {
-        const char *a = argv[i];
-        if (takeValue(a, "--graph=", scfg.graphSpec) ||
-            takeValue(a, "--arrivals=", arrivals) ||
-            takeValue(a, "--queue-impl=", queue_impl) ||
-            takeValue(a, "--report=", report_path) ||
-            takeValue(a, "--ckpt-file=", scfg.ckptPath) ||
-            takeValue(a, "--resume=", scfg.resumePath))
-            continue;
-        if (takeValue(a, "--tenants=", v))
-            scfg.tenants =
-                static_cast<std::uint32_t>(parseU64(v, "--tenants"));
-        else if (takeValue(a, "--duration=", v))
-            scfg.duration = parseU64(v, "--duration");
-        else if (takeValue(a, "--groups=", v))
-            scfg.groups =
-                static_cast<std::uint32_t>(parseU64(v, "--groups"));
-        else if (takeValue(a, "--gpns-per-group=", v))
-            scfg.gpnsPerGroup = static_cast<std::uint32_t>(
-                parseU64(v, "--gpns-per-group"));
-        else if (takeValue(a, "--quota=", v))
-            scfg.quotaPerTenant =
-                static_cast<std::uint32_t>(parseU64(v, "--quota"));
-        else if (takeValue(a, "--queue-cap=", v))
-            scfg.queueCap =
-                static_cast<std::uint32_t>(parseU64(v, "--queue-cap"));
-        else if (takeValue(a, "--batch-max=", v))
-            scfg.batchMax =
-                static_cast<std::uint32_t>(parseU64(v, "--batch-max"));
-        else if (takeValue(a, "--batch-window=", v))
-            scfg.batchWindow = parseU64(v, "--batch-window");
-        else if (takeValue(a, "--setup=", v))
-            scfg.setupTicks = parseU64(v, "--setup");
-        else if (takeValue(a, "--contention=", v))
-            scfg.contentionPct =
-                static_cast<std::uint32_t>(parseU64(v, "--contention"));
-        else if (takeValue(a, "--scale=", v))
-            scfg.scale = parsePositive(v, "--scale");
-        else if (takeValue(a, "--seed=", v))
-            scfg.seed = parseU64(v, "--seed");
-        else if (takeValue(a, "--threads=", v)) {
-            scfg.threads =
-                static_cast<std::uint32_t>(parseU64(v, "--threads"));
-            if (scfg.threads == 0)
-                sim::fatal("serve needs --threads >= 1 (engine runs "
-                           "are always sharded; docs/SERVING.md)");
-        }
-        else if (takeValue(a, "--ppr-iters=", v))
-            scfg.pprIters = parseU64(v, "--ppr-iters");
-        else if (takeValue(a, "--ckpt-every=", v))
-            scfg.ckptEvery = parseU64(v, "--ckpt-every");
-        else if (takeValue(a, "--stop-after=", v))
-            scfg.stopAfter = parseU64(v, "--stop-after");
-        else if (takeValue(a, "--keep-generations=", v)) {
-            scfg.keepGenerations = static_cast<unsigned>(
-                parseU64(v, "--keep-generations"));
-            if (scfg.keepGenerations == 0)
-                sim::fatal("--keep-generations needs at least 1");
-        }
-        else if (std::strcmp(a, "--stats") == 0)
-            dump_stats = true;
-        else
-            sim::fatal("unknown serve option '", a,
-                       "' (see the header of tools/nova_cli.cc)");
-    }
-    scfg.arrivals = sim::ArrivalSpec::parse(arrivals);
-
-    std::optional<sim::EventQueue::ScopedDefaultImpl> forced_impl;
-    if (!queue_impl.empty()) {
-        if (queue_impl == "calendar")
-            forced_impl.emplace(sim::EventQueue::Impl::Calendar);
-        else if (queue_impl == "legacy")
-            forced_impl.emplace(sim::EventQueue::Impl::LegacyHeap);
-        else
-            sim::fatal("--queue-impl must be 'calendar' or 'legacy', "
-                       "not '", queue_impl, "'");
-    }
-
-    CliOptions gopt;
-    gopt.graphSpec = scfg.graphSpec;
-    gopt.scale = scfg.scale;
-    gopt.seed = scfg.seed;
-    const graph::Csr g = makeGraph(gopt);
-
-    core::ServingSystem sys(scfg, g);
-    const core::ServingReport rep = sys.run();
-
-    if (report_path.empty()) {
-        std::printf("%s", rep.json.c_str());
-    } else {
-        std::ofstream os(report_path, std::ios::trunc);
-        os << rep.json;
-        if (!os)
-            sim::fatal("cannot write serving report ", report_path);
-        std::printf("serve: %s%llu offered, %llu served, %llu shed, "
-                    "%llu batches over %s (V=%u, E=%llu)\n",
-                    rep.stopped ? "(stopped) " : "",
-                    static_cast<unsigned long long>(rep.offered),
-                    static_cast<unsigned long long>(rep.served),
-                    static_cast<unsigned long long>(rep.shed),
-                    static_cast<unsigned long long>(rep.batches),
-                    scfg.graphSpec.c_str(), g.numVertices(),
-                    static_cast<unsigned long long>(g.numEdges()));
-        std::printf("serve: fingerprint 0x%llx, report %s\n",
-                    static_cast<unsigned long long>(rep.fingerprint),
-                    report_path.c_str());
-    }
-    if (dump_stats) {
-        std::map<std::string, double> flat;
-        sys.stats().collect(flat);
-        for (const auto &[k, val] : flat)
-            std::printf("  %-42s %.6g\n", k.c_str(), val);
-    }
-    return 0;
-}
-
-/**
- * `verify --serve=N`: the serving determinism battery. Each campaign
- * draws a fuzzed graph (cycling through every structural family), runs
- * the same mixed-kind campaign under {1, 2} host threads x {heap,
- * calendar} queue backends, and requires all four reports to be
- * bit-identical text.
- */
-int
-serveVerifyMain(std::uint64_t seed, std::uint64_t campaigns,
-                bool verbose)
-{
-    std::uint64_t failures = 0;
-    std::uint64_t fuzz_index = 0;
-    for (std::uint64_t c = 0; c < campaigns; ++c) {
-        const auto want = static_cast<verify::GraphFamily>(
-            c % verify::numGraphFamilies);
-        verify::FuzzedGraph fg;
-        do {
-            fg = verify::fuzzCase(seed, fuzz_index++);
-        } while (fg.family != want ||
-                 fg.graph.numVertices() == 0);
-
-        core::ServingConfig base;
-        base.graphSpec = "fuzz:" + std::string(
-            verify::familyName(fg.family));
-        base.arrivals = sim::ArrivalSpec::parse("poisson:10000");
-        base.seed = seed ^ (c * 0x9e3779b97f4a7c15ULL);
-        base.tenants = 2 + static_cast<std::uint32_t>(c % 3);
-        base.duration = 400'000;
-        base.groups = 1 + static_cast<std::uint32_t>(c % 2);
-        base.quotaPerTenant = 4;
-        base.queueCap = 6;   // small: overload paths get exercised
-        base.batchMax = 3;
-        base.batchWindow = 20'000;
-        base.scale = 100;    // small engine: campaign speed
-
-        struct Combo { std::uint32_t threads;
-                       sim::EventQueue::Impl impl;
-                       const char *name; };
-        const std::vector<Combo> combos = {
-            {1, sim::EventQueue::Impl::LegacyHeap, "t1/heap"},
-            {1, sim::EventQueue::Impl::Calendar, "t1/calendar"},
-            {2, sim::EventQueue::Impl::LegacyHeap, "t2/heap"},
-            {2, sim::EventQueue::Impl::Calendar, "t2/calendar"},
-        };
-        std::string first;
-        bool ok = true;
-        std::uint64_t served = 0, shed = 0;
-        for (const Combo &combo : combos) {
-            sim::EventQueue::ScopedDefaultImpl forced(combo.impl);
-            core::ServingConfig cc = base;
-            cc.threads = combo.threads;
-            core::ServingSystem sys(cc, fg.graph);
-            const core::ServingReport rep = sys.run();
-            if (first.empty()) {
-                first = rep.json;
-                served = rep.served;
-                shed = rep.shed;
-            } else if (rep.json != first) {
-                ok = false;
-                std::printf("serve campaign #%llu (%s): report "
-                            "DIVERGED on %s\n",
-                            static_cast<unsigned long long>(c),
-                            fg.description.c_str(), combo.name);
-            }
-        }
-        if (verbose || !ok)
-            std::printf("serve campaign #%llu (%s, %s): %llu served, "
-                        "%llu shed%s\n",
-                        static_cast<unsigned long long>(c),
-                        verify::familyName(fg.family),
-                        fg.description.c_str(),
-                        static_cast<unsigned long long>(served),
-                        static_cast<unsigned long long>(shed),
-                        ok ? "" : " FAILED");
-        if (!ok)
-            ++failures;
-    }
-    std::printf("serve battery: %llu campaigns, %llu diverging "
-                "[seed %llu]\n",
-                static_cast<unsigned long long>(campaigns),
-                static_cast<unsigned long long>(failures),
-                static_cast<unsigned long long>(seed));
-    return failures == 0 ? 0 : 1;
-}
-
 int
 verifyMain(int argc, char **argv)
 {
     std::uint64_t iterations = 100;
     std::uint64_t seed = 1;
-    std::uint64_t serve = 0;
     std::string replay_token;
     bool verbose = false;
     verify::DiffOptions opt;
@@ -703,11 +413,6 @@ verifyMain(int argc, char **argv)
         const char *a = argv[i];
         if (takeValue(a, "--fuzz=", v))
             iterations = parseU64(v, "--fuzz");
-        else if (takeValue(a, "--serve=", v)) {
-            serve = parseU64(v, "--serve");
-            if (serve == 0)
-                sim::fatal("--serve needs at least one campaign");
-        }
         else if (takeValue(a, "--seed=", v))
             seed = parseU64(v, "--seed");
         else if (takeValue(a, "--max-v=", v))
@@ -771,9 +476,6 @@ verifyMain(int argc, char **argv)
     if (opt.fuzzer.maxVertices < 8 || opt.fuzzer.maxEdges < 16)
         sim::fatal("fuzzer bounds too small: need --max-v >= 8 and "
                    "--max-e >= 16");
-
-    if (serve > 0)
-        return serveVerifyMain(seed, serve, verbose);
 
     if (!replay_token.empty()) {
         verify::ReplayCase c;
@@ -839,8 +541,6 @@ cliMain(int argc, char **argv)
 {
     if (argc > 1 && std::strcmp(argv[1], "verify") == 0)
         return verifyMain(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0)
-        return serveMain(argc, argv);
     // "nova_cli run ..." is an accepted alias for the default mode.
     if (argc > 1 && std::strcmp(argv[1], "run") == 0) {
         --argc;
@@ -951,13 +651,6 @@ cliMain(int argc, char **argv)
                     static_cast<unsigned long long>(
                         r.extra.at("fault.injected")),
                     static_cast<unsigned long long>(rec->second));
-    if (r.stoppedAtCheckpoint) {
-        // Partial state: the reference comparison is meaningless here.
-        std::printf("stopped at checkpoint '%s' after superstep %llu\n",
-                    o.checkpointFile.c_str(),
-                    static_cast<unsigned long long>(r.bspIterations));
-        return 0;
-    }
     if (o.validate)
         std::printf("validation: %s\n", valid ? "OK" : "MISMATCH");
     if (o.profile) {

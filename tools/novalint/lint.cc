@@ -159,17 +159,12 @@ ruleWallClock(std::vector<Diagnostic> &out, const PreparedFile &p)
 
 /**
  * raw-exit: direct process termination. A raw exit()/abort() skips the
- * crash bundle, the checkpoint-generation error context and the
- * nova_cli exit-code contract (0/1/2) — errors must travel through
- * sim::fatal()/sim::panic() instead. Still exempt: src/sim/supervise.*,
- * where the deleted crash-recovery supervisor's forked child called
- * _exit after a failed exec; the exemption goes with its test.
+ * crash bundle and the nova_cli exit-code contract (0/1/2) — errors
+ * must travel through sim::fatal()/sim::panic() instead.
  */
 void
 ruleRawExit(std::vector<Diagnostic> &out, const PreparedFile &p)
 {
-    if (endsWith(p.stem, "sim/supervise"))
-        return;
     static const std::regex re(
         R"((?:\bstd\s*::\s*)?\b(?:exit|abort|quick_exit|_Exit)\s*\()"
         R"(|\b_exit\s*\()");
@@ -660,7 +655,7 @@ const std::regex &
 sinkRegex()
 {
     static const std::regex re(
-        R"([Ff]ingerprint|\bstats::|\baddScalar\b|\baddHistogram\b|\bsaveGroupStats\b|CheckpointWriter|\.\s*(?:u64vec|f64vec|u64|f64|str|section)\s*\()");
+        R"([Ff]ingerprint|\bstats::|\baddScalar\b|\baddHistogram\b|\bsaveGroupStats\b)");
     return re;
 }
 
@@ -730,10 +725,10 @@ loopBodySpan(const std::string &text, std::size_t paren,
 
 /**
  * determinism-taint: iteration order of an unordered (hash-ordered) or
- * pointer-keyed (address-ordered) container flowing into a fingerprint,
- * statistics, or checkpoint writer within the same function — plus the
- * degenerate cases of hashing or printing raw pointer values, which
- * leak the allocator's address layout straight into output.
+ * pointer-keyed (address-ordered) container flowing into a fingerprint
+ * or statistics within the same function — plus the degenerate cases
+ * of hashing or printing raw pointer values, which leak the allocator's
+ * address layout straight into output.
  */
 void
 ruleDeterminismTaint(std::vector<Diagnostic> &out, const Unit &u,
@@ -799,10 +794,9 @@ ruleDeterminismTaint(std::vector<Diagnostic> &out, const Unit &u,
                         emit(out, p, line, "determinism-taint",
                              std::string("value ordered by ") +
                                  order_kind + " iteration of '" + name +
-                                 "' reaches a fingerprint/stats/"
-                                 "checkpoint sink; establish a canonical "
-                                 "order (sort, or an ordered container) "
-                                 "first");
+                                 "' reaches a fingerprint/stats sink; "
+                                 "establish a canonical order (sort, or "
+                                 "an ordered container) first");
                     }
 
                     // Values accumulated in the loop reaching a sink
@@ -854,9 +848,9 @@ ruleDeterminismTaint(std::vector<Diagnostic> &out, const Unit &u,
                                          "iterating '") +
                                  name + "' (" + order_kind +
                                  " order) flows into a fingerprint/"
-                                 "stats/checkpoint sink; establish a "
-                                 "canonical order (e.g. std::sort) "
-                                 "before it is consumed");
+                                 "stats sink; establish a canonical "
+                                 "order (e.g. std::sort) before it is "
+                                 "consumed");
                     }
                 }
             }
@@ -1180,8 +1174,8 @@ ruleDescription(const std::string &rule)
          "Mutable shared state or direct shard-queue scheduling in "
          "cross-shard code"},
         {"determinism-taint",
-         "Hash/address-ordered value flowing into a fingerprint, stats, "
-         "or checkpoint sink"},
+         "Hash/address-ordered value flowing into a fingerprint or stats "
+         "sink"},
         {"reduction-order",
          "Order-sensitive floating-point reduction in a per-shard merge "
          "path"},
