@@ -15,7 +15,7 @@ Mgu::Mgu(std::string name, sim::EventQueue &queue, const NovaConfig &cfg_,
     : ClockedObject(std::move(name), queue, cfg_.clockPeriod()), cfg(cfg_),
       peIndex(pe), store(store_), emem(edge_mem), net(net_), vmu(vmu_),
       program(prog), mapping(map), counters(counters_),
-      propEvent(queue, [this] { propWork(); }),
+      table(cfg_.mguEntryDepth), propEvent(queue, [this] { propWork(); }),
       profProp(sim::profile::Registry::instance().site(this->name(),
                                                        "mgu.propagate")),
       profBurst(sim::profile::Registry::instance().site(this->name(),
@@ -26,6 +26,8 @@ Mgu::Mgu(std::string name, sim::EventQueue &queue, const NovaConfig &cfg_,
     statistics().addScalar("messagesSent", &messagesSent);
     statistics().addScalar("rowPtrReads", &rowPtrReads);
     statistics().addScalar("sendStalls", &sendStalls);
+    for (std::uint32_t s = cfg.mguEntryDepth; s-- > 0;)
+        freeSlots.push_back(s);
 }
 
 void
@@ -40,38 +42,39 @@ Mgu::pull()
 {
     while (entries.size() < cfg.mguEntryDepth && vmu.hasEntry()) {
         const Vmu::Entry e = vmu.pop();
-        auto ent = std::make_shared<EntryState>();
-        ent->local = e.local;
-        ent->alpha = e.alpha;
-        entries.push_back(ent);
-        issueRowPtr(ent);
+        const std::uint32_t slot = freeSlots.back();
+        freeSlots.pop_back();
+        table[slot] = EntryState{e.local, e.alpha};
+        entries.push_back(slot);
+        issueRowPtr(slot);
     }
 }
 
 void
-Mgu::issueRowPtr(std::shared_ptr<EntryState> ent)
+Mgu::issueRowPtr(std::uint32_t slot)
 {
-    const sim::Addr addr = store.rowPtrAddr(ent->local);
-    const bool ok = emem.tryAccess(addr, 8, false, [this, ent] {
-        onRowPtr(ent);
+    const sim::Addr addr = store.rowPtrAddr(table[slot].local);
+    const bool ok = emem.tryAccess(addr, 8, false, [this, slot] {
+        onRowPtr(slot);
     });
     if (ok) {
         ++rowPtrReads;
     } else {
-        emem.waitForSpace([this, ent] { issueRowPtr(ent); });
+        emem.waitForSpace([this, slot] { issueRowPtr(slot); });
     }
 }
 
 void
-Mgu::onRowPtr(const std::shared_ptr<EntryState> &ent)
+Mgu::onRowPtr(std::uint32_t slot)
 {
     NOVA_PROF_SCOPE(profBurst);
-    ent->rangeKnown = true;
-    ent->next = store.edgeBegin(ent->local);
-    ent->end = store.edgeEnd(ent->local);
-    if (ent->next == ent->end)
-        ent->issuedAll = true;
-    maybeFinishEntry(ent);
+    EntryState &ent = table[slot];
+    ent.rangeKnown = true;
+    ent.next = store.edgeBegin(ent.local);
+    ent.end = store.edgeEnd(ent.local);
+    if (ent.next == ent.end)
+        ent.issuedAll = true;
+    maybeFinishEntry(slot);
     issueBursts();
 }
 
@@ -80,23 +83,24 @@ Mgu::issueBursts()
 {
     // Issue edge bursts in entry order; an entry whose row pointer is
     // still in flight blocks younger entries (in-order streaming).
-    for (auto &ent : entries) {
-        if (!ent->rangeKnown)
+    for (const std::uint32_t slot : entries) {
+        EntryState &ent = table[slot];
+        if (!ent.rangeKnown)
             break;
-        while (!ent->issuedAll && burstsInFlight < cfg.mguBurstDepth) {
+        while (!ent.issuedAll && burstsInFlight < cfg.mguBurstDepth) {
             const std::uint32_t edges_per_burst =
                 std::max<std::uint32_t>(
                     1, cfg.mguBurstBytes / cfg.edgeRecordBytes);
             const auto count = static_cast<std::uint32_t>(std::min<EdgeId>(
-                edges_per_burst, ent->end - ent->next));
-            const EdgeId start = ent->next;
-            ent->next += count;
-            if (ent->next == ent->end)
-                ent->issuedAll = true;
-            ++ent->outstandingBursts;
-            ++ent->unprocessedBursts;
+                edges_per_burst, ent.end - ent.next));
+            const EdgeId start = ent.next;
+            ent.next += count;
+            if (ent.next == ent.end)
+                ent.issuedAll = true;
+            ++ent.outstandingBursts;
+            ++ent.unprocessedBursts;
             ++burstsInFlight;
-            issueBurstRead(ent, start, count);
+            issueBurstRead(slot, start, count);
         }
         if (burstsInFlight >= cfg.mguBurstDepth)
             break;
@@ -104,30 +108,28 @@ Mgu::issueBursts()
 }
 
 void
-Mgu::issueBurstRead(std::shared_ptr<EntryState> ent, EdgeId start,
-                    std::uint32_t count)
+Mgu::issueBurstRead(std::uint32_t slot, EdgeId start, std::uint32_t count)
 {
     const sim::Addr addr = store.edgeAddr(start);
     const std::uint32_t bytes = count * cfg.edgeRecordBytes;
     const bool ok = emem.tryAccess(addr, bytes, false,
-                                   [this, ent, start, count] {
-                                       onBurst(ent, start, count);
+                                   [this, slot, start, count] {
+                                       onBurst(slot, start, count);
                                    });
     if (!ok)
-        emem.waitForSpace([this, ent, start, count] {
-            issueBurstRead(ent, start, count);
+        emem.waitForSpace([this, slot, start, count] {
+            issueBurstRead(slot, start, count);
         });
 }
 
 void
-Mgu::onBurst(const std::shared_ptr<EntryState> &ent, EdgeId start,
-             std::uint32_t count)
+Mgu::onBurst(std::uint32_t slot, EdgeId start, std::uint32_t count)
 {
     NOVA_PROF_SCOPE(profBurst);
-    NOVA_ASSERT(ent->outstandingBursts > 0);
-    --ent->outstandingBursts;
+    NOVA_ASSERT(table[slot].outstandingBursts > 0);
+    --table[slot].outstandingBursts;
     edgesRead += count;
-    propQueue.push_back(BurstItem{ent, start, count, 0});
+    propQueue.push_back(BurstItem{slot, count, start, 0});
     propEvent.schedule(clockEdge(0));
 }
 
@@ -138,13 +140,13 @@ Mgu::propWork()
     std::uint32_t budget = cfg.propagateFusPerPe;
     while (budget > 0 && !propQueue.empty()) {
         BurstItem &b = propQueue.front();
+        const std::uint64_t alpha = table[b.entry].alpha;
         while (budget > 0 && b.processed < b.count) {
             const EdgeId e = b.start + b.processed;
             const VertexId dst = store.edgeDest(e);
             noc::Message msg;
             msg.dstVertex = dst;
-            msg.update =
-                program.propagate(b.entry->alpha, store.edgeWeight(e));
+            msg.update = program.propagate(alpha, store.edgeWeight(e));
             msg.dstPe = mapping.partOf(dst);
             msg.srcPe = peIndex;
             if (!net.trySend(msg)) {
@@ -160,13 +162,14 @@ Mgu::propWork()
             --budget;
         }
         if (b.processed == b.count) {
-            auto ent = b.entry;
+            const std::uint32_t slot = b.entry;
             propQueue.pop_front();
-            NOVA_ASSERT(ent->unprocessedBursts > 0);
-            --ent->unprocessedBursts;
+            EntryState &ent = table[slot];
+            NOVA_ASSERT(ent.unprocessedBursts > 0);
+            --ent.unprocessedBursts;
             NOVA_ASSERT(burstsInFlight > 0);
             --burstsInFlight;
-            maybeFinishEntry(ent);
+            maybeFinishEntry(slot);
             issueBursts();
         }
     }
@@ -175,14 +178,16 @@ Mgu::propWork()
 }
 
 void
-Mgu::maybeFinishEntry(const std::shared_ptr<EntryState> &ent)
+Mgu::maybeFinishEntry(std::uint32_t slot)
 {
-    if (!ent->rangeKnown || !ent->issuedAll || ent->outstandingBursts ||
-        ent->unprocessedBursts)
+    const EntryState &ent = table[slot];
+    if (!ent.rangeKnown || !ent.issuedAll || ent.outstandingBursts ||
+        ent.unprocessedBursts)
         return;
-    const auto it = std::find(entries.begin(), entries.end(), ent);
+    const auto it = std::find(entries.begin(), entries.end(), slot);
     if (it != entries.end()) {
         entries.erase(it);
+        freeSlots.push_back(slot);
         ++verticesPropagated;
         pull();
     }

@@ -18,7 +18,7 @@
 #define NOVA_CORE_MGU_HH
 
 #include <deque>
-#include <memory>
+#include <vector>
 
 #include "core/config.hh"
 #include "core/run_state.hh"
@@ -59,10 +59,11 @@ class Mgu : public sim::ClockedObject
     /** @} */
 
   private:
+    /** One front-end entry; lives in `table` until it finishes. */
     struct EntryState
     {
-        VertexId local;
-        std::uint64_t alpha;
+        VertexId local = 0;
+        std::uint64_t alpha = 0;
         bool rangeKnown = false;
         bool issuedAll = false;
         EdgeId next = 0;
@@ -73,22 +74,21 @@ class Mgu : public sim::ClockedObject
 
     struct BurstItem
     {
-        std::shared_ptr<EntryState> entry;
-        EdgeId start;
+        std::uint32_t entry; ///< slot in `table`
         std::uint32_t count;
+        EdgeId start;
         std::uint32_t processed = 0;
     };
 
     void pull();
-    void issueRowPtr(std::shared_ptr<EntryState> ent);
-    void onRowPtr(const std::shared_ptr<EntryState> &ent);
+    void issueRowPtr(std::uint32_t slot);
+    void onRowPtr(std::uint32_t slot);
     void issueBursts();
-    void issueBurstRead(std::shared_ptr<EntryState> ent, EdgeId start,
+    void issueBurstRead(std::uint32_t slot, EdgeId start,
                         std::uint32_t count);
-    void onBurst(const std::shared_ptr<EntryState> &ent, EdgeId start,
-                 std::uint32_t count);
+    void onBurst(std::uint32_t slot, EdgeId start, std::uint32_t count);
     void propWork();
-    void maybeFinishEntry(const std::shared_ptr<EntryState> &ent);
+    void maybeFinishEntry(std::uint32_t slot);
 
     const NovaConfig &cfg;
     std::uint32_t peIndex;
@@ -100,7 +100,11 @@ class Mgu : public sim::ClockedObject
     const graph::VertexMapping &mapping;
     RunCounters &counters;
 
-    std::deque<std::shared_ptr<EntryState>> entries;
+    /** Entry storage, mguEntryDepth slots; closures carry the slot. */
+    std::vector<EntryState> table;
+    std::vector<std::uint32_t> freeSlots;
+    /** Slots of the live entries, oldest first. */
+    std::vector<std::uint32_t> entries;
     std::deque<BurstItem> propQueue;
     std::uint32_t burstsInFlight = 0;
     sim::SelfEvent propEvent;

@@ -132,14 +132,25 @@ DramChannel::tryAccess(Addr addr, bool write, MemCallback done)
 {
     if (queue.size() >= cfg.queueCapacity)
         return false;
-    queue.push_back(Request{addr, write, std::move(done), now()});
+    std::uint32_t parked_at = noCallback;
+    if (done) {
+        if (freeParked.empty()) {
+            parked_at = static_cast<std::uint32_t>(parked.size());
+            parked.push_back(std::move(done));
+        } else {
+            parked_at = freeParked.back();
+            freeParked.pop_back();
+            parked[parked_at] = std::move(done);
+        }
+    }
+    queue.push_back(Request{addr, now(), parked_at, write});
     keys.push_back(ScanKey{rowOf(addr), bankOf(addr)});
     trySchedule();
     return true;
 }
 
 void
-DramChannel::waitForSpace(std::function<void()> retry)
+DramChannel::waitForSpace(MemCallback retry)
 {
     spaceWaiters.push_back(std::move(retry));
 }
@@ -199,7 +210,7 @@ DramChannel::issueOne()
 
     const std::uint32_t b = keys[chosen].bank;
     const std::uint64_t row = keys[chosen].row;
-    Request req = std::move(queue[chosen]);
+    const Request req = queue[chosen];
     queue.erase(queue.begin() +
                 static_cast<std::ptrdiff_t>(chosen));
     keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(chosen));
@@ -252,8 +263,10 @@ DramChannel::issueOne()
                                   sim::tickAdd(cfg.tRowMiss, cfg.tBurst)));
     }
 
-    if (req.done)
-        eventQueue().schedule(done_at, std::move(req.done));
+    if (req.parkedAt != noCallback) {
+        eventQueue().schedule(done_at, std::move(parked[req.parkedAt]));
+        freeParked.push_back(req.parkedAt);
+    }
 
     nextIssueAt = t + cfg.issueGap;
     if (!queue.empty())
@@ -261,9 +274,8 @@ DramChannel::issueOne()
 
     // Space freed: wake one waiter per freed slot.
     if (!spaceWaiters.empty()) {
-        auto waiter = std::move(spaceWaiters.front());
+        eventQueue().schedule(t, std::move(spaceWaiters.front()));
         spaceWaiters.erase(spaceWaiters.begin());
-        eventQueue().schedule(t, std::move(waiter));
     }
 }
 
@@ -283,7 +295,8 @@ MemorySystem::MemorySystem(std::string name, sim::EventQueue &queue,
                            std::uint32_t interleave_bytes)
     : SimObject(std::move(name), queue), cfg(timing),
       interleaveBytes(interleave_bytes ? interleave_bytes
-                                       : timing.accessBytes)
+                                       : timing.accessBytes),
+      atomsPerChannel(num_channels, 0)
 {
     NOVA_ASSERT(num_channels > 0);
     for (std::uint32_t i = 0; i < num_channels; ++i) {
@@ -312,7 +325,7 @@ MemorySystem::achievedBytesPerSec() const
 DramChannel &
 MemorySystem::channelFor(Addr addr)
 {
-    return *channels[(addr / interleaveBytes) % channels.size()];
+    return *channels[channelIndex(addr)];
 }
 
 bool
@@ -338,34 +351,54 @@ MemorySystem::tryAccess(Addr addr, std::uint32_t bytes, bool write,
 
     // All-or-nothing admission: check capacity first so a multi-atom
     // request is never half-enqueued.
-    std::vector<std::uint32_t> per_channel(channels.size(), 0);
-    for (Addr atom = first; atom <= last; ++atom) {
-        const Addr a = atom * cfg.accessBytes;
-        const std::size_t ci = (a / interleaveBytes) % channels.size();
-        ++per_channel[ci];
-    }
+    for (Addr atom = first; atom <= last; ++atom)
+        ++atomsPerChannel[channelIndex(atom * cfg.accessBytes)];
+    bool fits = true;
     for (std::size_t ci = 0; ci < channels.size(); ++ci) {
-        if (channels[ci]->queued() + per_channel[ci] >
+        if (channels[ci]->queued() + atomsPerChannel[ci] >
             cfg.queueCapacity)
-            return false;
+            fits = false;
+        atomsPerChannel[ci] = 0;
     }
+    if (!fits)
+        return false;
 
-    auto remaining = std::make_shared<std::uint32_t>(num_atoms);
-    auto shared_done = std::make_shared<MemCallback>(std::move(done));
+    // Every atom completes as its own event; the last one to finish
+    // runs `done` inside its event.
+    std::uint32_t s;
+    if (freeSplits.empty()) {
+        s = static_cast<std::uint32_t>(splits.size());
+        splits.emplace_back();
+    } else {
+        s = freeSplits.back();
+        freeSplits.pop_back();
+    }
+    splits[s].done = std::move(done);
+    splits[s].remaining = num_atoms;
     for (Addr atom = first; atom <= last; ++atom) {
         const Addr a = atom * cfg.accessBytes;
-        const bool ok = channelFor(a).tryAccess(
-            a, write, [remaining, shared_done] {
-                if (--*remaining == 0 && *shared_done)
-                    (*shared_done)();
-            });
+        const bool ok =
+            channelFor(a).tryAccess(a, write, [this, s] { atomDone(s); });
         NOVA_ASSERT(ok, "channel rejected pre-checked access");
     }
     return true;
 }
 
 void
-MemorySystem::waitForSpace(std::function<void()> retry)
+MemorySystem::atomDone(std::uint32_t split)
+{
+    if (--splits[split].remaining != 0)
+        return;
+    // Free the record before running `done`: it may issue a new
+    // multi-atom access, which can reuse the record or grow `splits`.
+    MemCallback done = std::move(splits[split].done);
+    freeSplits.push_back(split);
+    if (done)
+        done();
+}
+
+void
+MemorySystem::waitForSpace(MemCallback retry)
 {
     // Wake the caller when the most loaded channel frees a slot.
     std::size_t worst = 0;

@@ -13,10 +13,10 @@
 #define NOVA_MEM_DRAM_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "sim/event_fn.hh"
 #include "sim/fault.hh"
 #include "sim/profile.hh"
 #include "sim/sim_object.hh"
@@ -29,8 +29,12 @@ using sim::Addr;
 using sim::FaultPoint;
 using sim::Tick;
 
-/** Completion callback for a memory access. */
-using MemCallback = std::function<void()>;
+/**
+ * Completion callback for a memory access (also the retry callback of
+ * waitForSpace). The event type itself, so a completion moves into the
+ * event queue without re-wrapping.
+ */
+using MemCallback = sim::EventFn;
 
 /** Timing parameters of one DRAM channel. */
 struct DramTiming
@@ -105,7 +109,7 @@ class DramChannel : public sim::SimObject
     bool tryAccess(Addr addr, bool write, MemCallback done);
 
     /** Register a one-shot callback invoked when queue space frees. */
-    void waitForSpace(std::function<void()> retry);
+    void waitForSpace(MemCallback retry);
 
     /** Current queue occupancy. */
     std::size_t queued() const { return queue.size(); }
@@ -127,12 +131,20 @@ class DramChannel : public sim::SimObject
     double achievedBytesPerSec() const;
 
   private:
+    /** Marks a request with no completion callback (a posted write). */
+    static constexpr std::uint32_t noCallback = ~std::uint32_t(0);
+
+    /**
+     * A queued access. Plain data, so the FR-FCFS pick's erase shifts a
+     * few words per request; the completion callback waits in `parked`
+     * at index `parkedAt`.
+     */
     struct Request
     {
         Addr addr;
-        bool write;
-        MemCallback done;
         Tick enqueued;
+        std::uint32_t parkedAt;
+        bool write;
     };
 
     /**
@@ -155,12 +167,14 @@ class DramChannel : public sim::SimObject
     DramTiming cfg;
     std::vector<Request> queue;
     std::vector<ScanKey> keys; ///< parallel to `queue`
+    std::vector<MemCallback> parked; ///< completions, by Request::parkedAt
+    std::vector<std::uint32_t> freeParked;
     std::vector<Tick> bankReadyAt;
     std::vector<std::int64_t> openRow;
     Tick busFreeAt = 0;
     Tick nextIssueAt = 0;
     sim::SelfEvent issueEvent;
-    std::vector<std::function<void()>> spaceWaiters;
+    std::vector<MemCallback> spaceWaiters;
     FaultPoint *bitflipPoint = nullptr; ///< "dram.bitflip" (reads)
     FaultPoint *txnPoint = nullptr;     ///< "dram.txn" (any access)
     sim::profile::Site &profIssue;      ///< host time in issueOne()
@@ -206,19 +220,35 @@ class MemorySystem : public sim::SimObject
     bool tryAccess(Addr addr, std::uint32_t bytes, bool write,
                    MemCallback done);
 
-    /** Register a one-shot retry callback on all channels. */
-    void waitForSpace(std::function<void()> retry);
+    /** Register a one-shot retry callback on the most loaded channel. */
+    void waitForSpace(MemCallback retry);
 
     /** Total bytes transferred (read + written). */
     double totalBytes() const;
 
   private:
+    /** A multi-atom access waiting for its atoms to complete. */
+    struct Split
+    {
+        MemCallback done;
+        std::uint32_t remaining = 0;
+    };
+
     DramChannel &channelFor(Addr addr);
+    std::size_t channelIndex(Addr addr) const
+    {
+        return (addr / interleaveBytes) % channels.size();
+    }
+    void atomDone(std::uint32_t split);
 
     DramTiming cfg;
     std::uint32_t interleaveBytes;
     std::vector<DramChannel *> channels;
     std::vector<std::unique_ptr<DramChannel>> owned;
+    std::vector<Split> splits; ///< in-flight multi-atom accesses
+    std::vector<std::uint32_t> freeSplits;
+    /** Admission scratch: atoms of the current request per channel. */
+    std::vector<std::uint32_t> atomsPerChannel;
 };
 
 } // namespace nova::mem

@@ -90,8 +90,7 @@ class Network : public sim::SimObject
     virtual bool trySend(const Message &msg);
 
     /** One-shot retry callback for a sender blocked by trySend(). */
-    virtual void waitForSpace(std::uint32_t src_pe,
-                              std::function<void()> retry);
+    virtual void waitForSpace(std::uint32_t src_pe, sim::EventFn retry);
 
     /** True when PE `pe` has no waiting inbound message. */
     virtual bool inboundEmpty(std::uint32_t pe) const
@@ -209,7 +208,9 @@ class Network : public sim::SimObject
     std::vector<std::deque<Message>> inbound;
     std::vector<std::function<void()>> inboundNotify;
     std::vector<std::uint32_t> credits;
-    std::vector<std::pair<std::uint32_t, std::function<void()>>> waiters;
+    std::vector<std::pair<std::uint32_t, sim::EventFn>> waiters;
+    /** The buffer wakeSenders() swaps in, so neither list reallocates. */
+    std::vector<std::pair<std::uint32_t, sim::EventFn>> spareWaiters;
     std::uint64_t inFlight = 0;
     /** Last delivered inject tick per destination (reorder detection). */
     std::vector<Tick> lastInjectAt;

@@ -66,8 +66,7 @@ class ShardedHierarchicalNetwork : public Network
     }
 
     bool trySend(const Message &msg) override;
-    void waitForSpace(std::uint32_t src_pe,
-                      std::function<void()> retry) override;
+    void waitForSpace(std::uint32_t src_pe, sim::EventFn retry) override;
     bool inboundEmpty(std::uint32_t pe) const override;
     std::size_t inboundSize(std::uint32_t pe) const override;
     Message popInbound(std::uint32_t pe) override;
@@ -156,8 +155,9 @@ class ShardedHierarchicalNetwork : public Network
         std::vector<std::function<void()>> notify;      ///< [localPe]
         std::vector<std::uint32_t> intraCredits;        ///< [localDst]
         std::vector<std::uint32_t> channelCredits;      ///< [dstGpn]
-        std::vector<std::pair<std::uint32_t, std::function<void()>>>
-            waiters;
+        std::vector<std::pair<std::uint32_t, sim::EventFn>> waiters;
+        /** Swapped in by wakeShardSenders() (see Network::wakeSenders). */
+        std::vector<std::pair<std::uint32_t, sim::EventFn>> spareWaiters;
         std::uint64_t inFlight = 0;
         std::vector<Tick> lastInjectAt; ///< [localPe]
         StatDeltas d;

@@ -25,23 +25,41 @@ EventQueue::defaultImpl()
     return Impl::Calendar;
 }
 
-void
-EventQueue::pushNear(const CalEnt &e)
+std::uint32_t
+EventQueue::growSlab()
 {
-    const std::uint64_t bucket = e.when >> bucketShift;
-    auto &b = buckets[bucket & bucketMask];
-    b.push_back(e);
-    std::push_heap(b.begin(), b.end(), entAfter);
-    occ[(bucket & bucketMask) >> 6] |= std::uint64_t(1)
-                                       << (bucket & bucketMask & 63);
-    ++nearCount;
+    if ((slabUsed >> chunkShift) == slab.size())
+        slab.push_back(std::make_unique<Slot[]>(chunkMask + 1));
+    return slabUsed++;
+}
+
+/**
+ * Link slot `id` into a bucket whose tail executes after it: walk from
+ * the head to the first pending slot that sorts after `s`. Executed
+ * slots have left the list, so an event scheduled at now() with a
+ * lower priority than the running one becomes the new head.
+ */
+void
+EventQueue::insertSorted(Bucket &bk, std::uint32_t id, Slot &s)
+{
+    std::uint32_t prev = noSlot;
+    std::uint32_t cur = bk.head;
+    while (!before(s, slotAt(cur))) {
+        prev = cur;
+        cur = slotAt(cur).next;
+    }
+    s.next = cur;
+    if (prev == noSlot)
+        bk.head = id;
+    else
+        slotAt(prev).next = id;
 }
 
 void
 EventQueue::pushFar(const CalEnt &e)
 {
     farHeap.push_back(e);
-    std::push_heap(farHeap.begin(), farHeap.end(), entAfter);
+    std::push_heap(farHeap.begin(), farHeap.end(), After{});
 }
 
 /** Pull every overflow event that now falls inside the window. */
@@ -51,10 +69,11 @@ EventQueue::migrateFar()
     while (!farHeap.empty() &&
            (farHeap.front().when >> bucketShift) <
                scanBucket + calBuckets) {
-        const CalEnt e = farHeap.front();
-        std::pop_heap(farHeap.begin(), farHeap.end(), entAfter);
+        const std::uint32_t id = farHeap.front().id;
+        std::pop_heap(farHeap.begin(), farHeap.end(), After{});
         farHeap.pop_back();
-        pushNear(e);
+        Slot &s = slotAt(id);
+        pushNear(id, s, s.when >> bucketShift);
     }
 }
 
@@ -96,8 +115,8 @@ EventQueue::peekKey(Tick &when) const
     // Near events always precede overflow ones: the overflow heap only
     // holds events at or beyond the window end.
     if (nearCount > 0) {
-        const std::uint64_t b = scanForward(scanBucket);
-        when = buckets[b & bucketMask].front().when;
+        when = slotAt(buckets[scanForward(scanBucket) & bucketMask].head)
+                   .when;
         return true;
     }
     if (!farHeap.empty()) {
@@ -119,86 +138,10 @@ EventQueue::guardTripped(const char *which, Tick when, int priority,
           "livelock or a missing termination condition.");
 }
 
-bool
-EventQueue::runOneLegacy()
+/** Advance the clock to an event about to run and log it. */
+void
+EventQueue::record(Tick when, int priority, std::uint64_t seq)
 {
-    if (heap.empty())
-        return false;
-    if (guardMaxEvents && numExecuted >= guardMaxEvents)
-        guardTripped("max-events", heap.top().when, heap.top().priority,
-                     heap.top().seq);
-    if (guardMaxTick && heap.top().when > guardMaxTick)
-        guardTripped("max-tick", heap.top().when, heap.top().priority,
-                     heap.top().seq);
-    // Move the closure out before popping so it may schedule new events.
-    Item item = std::move(const_cast<Item &>(heap.top()));
-    heap.pop();
-    NOVA_ASSERT(item.when >= curTick, "event queue went backwards");
-    curTick = item.when;
-    recent[numExecuted % recentCapacity] =
-        RecentEvent{item.when, item.priority, item.seq};
-    if (traceSink)
-        traceSink->push_back(
-            RecentEvent{item.when, item.priority, item.seq});
-    ++numExecuted;
-    constexpr std::uint64_t prime = 0x100000001b3ULL; // FNV-1a
-    fp = (fp ^ item.when) * prime;
-    fp = (fp ^ static_cast<std::uint64_t>(
-                   static_cast<std::int64_t>(item.priority))) *
-         prime;
-    fp = (fp ^ item.seq) * prime;
-    item.fn();
-    if (checkEvery && numExecuted % checkEvery == 0)
-        checkFn();
-    return true;
-}
-
-bool
-EventQueue::runOne()
-{
-    if (impl_ == Impl::LegacyHeap)
-        return runOneLegacy();
-
-    if (nearCount == 0) {
-        if (farHeap.empty())
-            return false;
-        // The window is empty: jump it to the earliest overflow event.
-        scanBucket = farHeap.front().when >> bucketShift;
-        migrateFar();
-    }
-    const std::uint64_t b = scanForward(scanBucket);
-    if (b != scanBucket) {
-        // Sliding the window forward may expose overflow events that now
-        // fit; they are all later than bucket b's events, so the pop
-        // order is unaffected.
-        scanBucket = b;
-        migrateFar();
-    }
-
-    auto &bucket = buckets[b & bucketMask];
-    const CalEnt e = bucket.front();
-    if (guardMaxEvents && numExecuted >= guardMaxEvents)
-        guardTripped("max-events", e.when, e.priority, e.seq);
-    if (guardMaxTick && e.when > guardMaxTick)
-        guardTripped("max-tick", e.when, e.priority, e.seq);
-
-    std::pop_heap(bucket.begin(), bucket.end(), entAfter);
-    bucket.pop_back();
-    if (bucket.empty())
-        occ[(b & bucketMask) >> 6] &=
-            ~(std::uint64_t(1) << (b & bucketMask & 63));
-    --nearCount;
-
-    // Move the closure out and recycle its pool slot before invoking it:
-    // the closure may schedule new events, growing the pool and
-    // invalidating pool references.
-    const Tick when = e.when;
-    const int priority = e.priority;
-    const std::uint64_t seq = e.seq;
-    std::function<void()> fn = std::move(pool[e.id]);
-    pool[e.id] = nullptr;
-    freeList.push_back(e.id);
-
     NOVA_ASSERT(when >= curTick, "event queue went backwards");
     curTick = when;
     recent[numExecuted % recentCapacity] = RecentEvent{when, priority, seq};
@@ -211,7 +154,75 @@ EventQueue::runOne()
                    priority))) *
          prime;
     fp = (fp ^ seq) * prime;
-    fn();
+}
+
+bool
+EventQueue::runNextLegacy(Tick until)
+{
+    if (heap.empty() || heap.top().when > until)
+        return false;
+    if (guardMaxEvents && numExecuted >= guardMaxEvents)
+        guardTripped("max-events", heap.top().when, heap.top().priority,
+                     heap.top().seq);
+    if (guardMaxTick && heap.top().when > guardMaxTick)
+        guardTripped("max-tick", heap.top().when, heap.top().priority,
+                     heap.top().seq);
+    // Move the closure out before popping so it may schedule new events.
+    Item item = std::move(const_cast<Item &>(heap.top()));
+    heap.pop();
+    record(item.when, item.priority, item.seq);
+    item.fn();
+    if (checkEvery && numExecuted % checkEvery == 0)
+        checkFn();
+    return true;
+}
+
+/** Execute the next event if it is due at or before `until`. */
+bool
+EventQueue::runNext(Tick until)
+{
+    if (impl_ == Impl::LegacyHeap)
+        return runNextLegacy(until);
+
+    if (nearCount == 0) {
+        if (farHeap.empty() || farHeap.front().when > until)
+            return false;
+        // The window is empty: jump it to the earliest overflow event.
+        scanBucket = farHeap.front().when >> bucketShift;
+        migrateFar();
+    }
+    const std::uint64_t b = scanForward(scanBucket);
+    Bucket &bk = buckets[b & bucketMask];
+    const std::uint32_t id = bk.head;
+    Slot &s = slotAt(id);
+    if (s.when > until)
+        return false;
+    if (guardMaxEvents && numExecuted >= guardMaxEvents)
+        guardTripped("max-events", s.when, s.priority, s.seq);
+    if (guardMaxTick && s.when > guardMaxTick)
+        guardTripped("max-tick", s.when, s.priority, s.seq);
+    if (b != scanBucket) {
+        // Sliding the window forward may expose overflow events that now
+        // fit; they all land in buckets after b, so the pop order is
+        // unaffected.
+        scanBucket = b;
+        migrateFar();
+    }
+
+    bk.head = s.next;
+    if (bk.head == noSlot) {
+        bk.tail = noSlot;
+        occ[(b & bucketMask) >> 6] &=
+            ~(std::uint64_t(1) << (b & bucketMask & 63));
+    }
+    --nearCount;
+
+    record(s.when, s.priority, s.seq);
+    // The slot stays allocated while the body runs, so events the body
+    // schedules take other slots, and slab chunks never move.
+    s.fn();
+    s.fn.reset();
+    freeSlots.push_back(id);
     if (checkEvery && numExecuted % checkEvery == 0)
         checkFn();
     return true;
@@ -222,18 +233,8 @@ EventQueue::run(Tick until, std::uint64_t maxEvents)
 {
     profile::Scope prof_scope(profile::loopSite());
     std::uint64_t count = 0;
-    if (until == maxTick) {
-        // Full drain: no tick bound to check, so skip the per-event
-        // peek (which repeats the calendar's bucket scan).
-        while (count < maxEvents && runOne())
-            ++count;
-        return count;
-    }
-    Tick next = 0;
-    while (count < maxEvents && peekKey(next) && next <= until) {
-        runOne();
+    while (count < maxEvents && runNext(until))
         ++count;
-    }
     return count;
 }
 

@@ -50,7 +50,7 @@ ParallelScheduler::~ParallelScheduler()
 void
 ParallelScheduler::postCross(std::uint32_t src_shard,
                              std::uint32_t dst_shard, Tick when,
-                             int priority, std::function<void()> fn)
+                             int priority, EventFn fn)
 {
     NOVA_ASSERT(src_shard < numShards() && dst_shard < numShards());
     auto node = std::make_unique<MailNode>();

@@ -37,7 +37,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -99,7 +98,7 @@ class ParallelScheduler
      * time plus at least the lookahead) — checked at the barrier.
      */
     void postCross(std::uint32_t src_shard, std::uint32_t dst_shard,
-                   Tick when, int priority, std::function<void()> fn);
+                   Tick when, int priority, EventFn fn);
 
     /** Apply runaway-guard ceilings to every shard queue. */
     void setGuard(Tick max_tick, std::uint64_t max_events);
@@ -131,7 +130,7 @@ class ParallelScheduler
         int priority = 0;
         std::uint32_t srcShard = 0;
         std::uint64_t srcSeq = 0;
-        std::function<void()> fn;
+        EventFn fn;
         MailNode *next = nullptr;
     };
 

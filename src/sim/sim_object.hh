@@ -49,11 +49,11 @@ class SimObject
 
   protected:
     /** Schedule a closure `delta` ticks in the future. */
+    template <class F>
     void
-    scheduleIn(Tick delta, std::function<void()> fn,
-               int priority = defaultPriority)
+    scheduleIn(Tick delta, F &&fn, int priority = defaultPriority)
     {
-        eq.scheduleIn(delta, std::move(fn), priority);
+        eq.scheduleIn(delta, std::forward<F>(fn), priority);
     }
 
   private:

@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "workloads/vertex_program.hh"
 
 namespace nova::workloads
@@ -332,9 +333,17 @@ class BcForwardProgram : public VertexProgram
         const std::uint32_t lu = unpackLevel(update);
         if (lu < ls)
             return update;
-        if (lu == ls && lu != unreachedLevel)
-            return packLevelSigma(ls, unpackSigma(state) +
-                                          unpackSigma(update));
+        if (lu == ls && lu != unreachedLevel) {
+            const std::uint64_t sigma =
+                unpackSigma(state) + unpackSigma(update);
+            if (sigma >> 48)
+                sim::fatal("BC shortest-path count at BFS level ", ls,
+                           " exceeds the 48-bit sigma field of the packed "
+                           "[level:16][sigma:48] forward state; the graph "
+                           "has too many equal-length shortest paths from "
+                           "the source for this BC model");
+            return packLevelSigma(ls, sigma);
+        }
         return state;
     }
 

@@ -11,6 +11,10 @@
  * counts, coalesced updates, supersteps and 52-bit event-order
  * fingerprint. A change that is meant to alter simulated behaviour
  * updates the table; the failure message prints the new rows.
+ *
+ * GoldenLegacyHeap runs the same cells with every event queue on the
+ * LegacyHeap reference backend and must reproduce the same table, which
+ * compares the calendar queue with the reference on the full model.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +29,7 @@
 #include "graph/graph_stats.hh"
 #include "graph/partition.hh"
 #include "graph/presets.hh"
+#include "sim/event_queue.hh"
 #include "workloads/bc.hh"
 #include "workloads/programs.hh"
 
@@ -210,5 +215,21 @@ cellName(const testing::TestParamInfo<Cell> &info)
 
 INSTANTIATE_TEST_SUITE_P(Matrix, Golden, testing::ValuesIn(kGolden),
                          cellName);
+
+class GoldenLegacyHeap : public testing::TestWithParam<Cell>
+{
+};
+
+TEST_P(GoldenLegacyHeap, ExactCounts)
+{
+    const Cell &c = GetParam();
+    const sim::EventQueue::ScopedDefaultImpl legacy(
+        sim::EventQueue::Impl::LegacyHeap);
+    const std::vector<Counts> got = runCell(c);
+    EXPECT_TRUE(got == c.want) << "actual rows:\n" << describe(got);
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, GoldenLegacyHeap,
+                         testing::ValuesIn(kGolden), cellName);
 
 } // namespace

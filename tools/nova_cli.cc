@@ -24,7 +24,8 @@
  *   --src=<v>        traversal source  [highest out-degree]
  *   --seed=<n>       mapping/graph seed                [1]
  *   --no-validate    skip the reference check
- *   --stats          dump all engine statistics
+ *   --stats          dump all engine statistics (integral values
+ *                    exactly, others with round-trip precision)
  *   --profile        arm the host-time profiler; print a sorted table
  *                    and profile.* extras after the run
  *   --queue-impl=calendar|legacy  event-queue backend (overrides the
@@ -107,6 +108,25 @@ using namespace nova;
 
 namespace
 {
+
+/**
+ * One `--stats` / `--profile` row. Integral values (event counts,
+ * fingerprints) print as exact integers; others print the shortest
+ * decimal that reads back as the same double, so diffing the output of
+ * two builds shows any change, not only one in the first six digits.
+ */
+void
+printStatRow(const std::string &key, double val)
+{
+    char buf[64];
+    const bool integral = std::isfinite(val) && val == std::trunc(val);
+    const auto res =
+        integral ? std::to_chars(buf, buf + sizeof(buf), val,
+                                 std::chars_format::fixed)
+                 : std::to_chars(buf, buf + sizeof(buf), val);
+    *res.ptr = '\0';
+    std::printf("  %-42s %s\n", key.c_str(), buf);
+}
 
 struct CliOptions
 {
@@ -658,11 +678,13 @@ cliMain(int argc, char **argv)
                     sim::profile::Registry::instance().table().c_str());
         for (const auto &[k, val] : r.extra)
             if (k.rfind("profile.", 0) == 0)
-                std::printf("  %-42s %.6g\n", k.c_str(), val);
+                printStatRow(k, val);
     }
+    // Under --profile the profile.* rows are already printed above.
     if (o.dumpStats)
         for (const auto &[k, val] : r.extra)
-            std::printf("  %-42s %.6g\n", k.c_str(), val);
+            if (!o.profile || k.rfind("profile.", 0) != 0)
+                printStatRow(k, val);
     return valid ? 0 : 1;
 }
 
