@@ -60,7 +60,9 @@ done
 
 # 2c. ThreadSanitizer gate: the conservative-PDES scheduler's worker
 #     pool, mailboxes and sharded fabric under TSan. Runs the dedicated
-#     parallel battery (multi-thread inside each test) plus a sharded
+#     parallel battery (multi-thread inside each test), the golden
+#     matrix (its 2-thread sharded cells drive the event slab, in-place
+#     dispatch and mailbox events of the full model) and a sharded
 #     differential smoke rather than the full suite — TSan slows the
 #     serial tests ~10x without adding thread coverage there.
 echo "=== configure build-tsan (ThreadSanitizer) ==="
@@ -68,8 +70,8 @@ cmake -B build-tsan -S . -DNOVA_WERROR=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNOVA_SANITIZE=thread >/dev/null
 echo "=== build build-tsan ==="
 cmake --build build-tsan -j "${JOBS}"
-echo "=== TSan: parallel-scheduler battery ==="
-./build-tsan/tests/nova_tests --gtest_filter='Parallel*'
+echo "=== TSan: parallel-scheduler battery and golden matrix ==="
+./build-tsan/tests/nova_tests --gtest_filter='Parallel*:Matrix/Golden.*'
 echo "=== TSan: cross-sched differential smoke ==="
 ./build-tsan/tools/nova_cli verify --fuzz=6 --seed=7 --engines=nova \
     --cross-sched=4
