@@ -4,12 +4,13 @@
  * software baseline, Sec. V).
  *
  * Executes the same VertexProgram abstraction with frontier-based
- * supersteps (edgeMap/vertexMap structure, sparse/dense frontier
- * switching) on the host CPU, and reports *measured wall-clock* time
- * converted to simulation ticks. Substitution note (DESIGN.md §3): the
- * paper measured Ligra on an 8-core x86 with 400 GB/s of memory
- * bandwidth; this runs on whatever host executes the benchmark, so
- * only the software-vs-accelerator shape is meaningful.
+ * supersteps (edgeMap/vertexMap structure) on the host CPU, but does
+ * not time them: it charges a deterministic 1 ns per traversed edge
+ * plus 100 ns per superstep, converted to simulation ticks, so runs
+ * replay bit for bit. Substitution note (DESIGN.md §3): the paper
+ * measured Ligra on an 8-core x86 with 400 GB/s of memory bandwidth;
+ * this cost model is not calibrated to that host, so only the
+ * software-vs-accelerator shape is meaningful.
  */
 
 #ifndef NOVA_BASELINES_LIGRA_HH

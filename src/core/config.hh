@@ -17,7 +17,6 @@
 #define NOVA_CORE_CONFIG_HH
 
 #include <cstdint>
-#include <string>
 
 #include "mem/dram.hh"
 #include "noc/network.hh"
@@ -108,21 +107,14 @@ struct NovaConfig
     std::uint32_t mguBurstBytes = 128;
     /** @} */
 
-    /** @{ @name Resilience (fault injection, watchdog, guards)
+    /** @{ @name Runaway guards (docs/RESILIENCE.md)
      *
-     * faultSchedule uses the grammar documented in sim/fault.hh, e.g.
-     * "dram.bitflip:n=3+noc.drop:every=100". Empty = injector off; the
-     * run is then bit-identical to a build without the subsystem.
+     * Ceilings on simulated time and on executed events; 0 = unlimited.
+     * A sharded run applies maxEvents to each shard queue and to the
+     * shards' sum, checked at every window barrier.
      */
-    std::string faultSchedule;
-    std::uint64_t faultSeed = 0;
-    /** Event-queue guard ceilings; 0 = unlimited. */
     sim::Tick maxTicks = 0;
     std::uint64_t maxEvents = 0;
-    /** Watchdog cadence (executed events between checks); 0 = off. */
-    std::uint64_t watchdogIntervalEvents = 0;
-    /** Checks with no progress before the watchdog declares livelock. */
-    std::uint64_t watchdogStrikes = 8;
     /** @} */
 
     /** @{ @name Parallel scheduling (conservative PDES, docs/PARALLEL.md)

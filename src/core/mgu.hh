@@ -43,7 +43,7 @@ class Mgu : public sim::ClockedObject
 
     void startup() override;
 
-    /** Entries and bursts in the pipeline (watchdog pending probe). */
+    /** Entries and bursts in the pipeline (0 once drained). */
     std::uint64_t
     pendingWork() const
     {

@@ -23,9 +23,6 @@ Mpu::Mpu(std::string name, sim::EventQueue &queue, const NovaConfig &cfg_,
     statistics().addScalar("reductions", &reductions);
     statistics().addScalar("activations", &activations);
     statistics().addScalar("bspCoalesced", &bspCoalesced);
-    statistics().addScalar("reduceRecomputes", &reduceRecomputes);
-    if (sim::FaultInjector *inj = queue.faultInjector())
-        reducePoint = inj->registerPoint("reduce.bitflip", this->name());
     if (bspMode)
         touchedFlag.assign(store.numLocal(), 0);
 }
@@ -81,7 +78,7 @@ Mpu::finishReduce(const noc::Message &msg)
 
     if (!bspMode) {
         const std::uint64_t old = store.cur(local);
-        const std::uint64_t next = checkedReduce(old, msg.update, old);
+        const std::uint64_t next = program.reduce(old, msg.update, old);
         store.cur(local) = next;
         if (program.activates(old, next)) {
             ++activations;
@@ -94,28 +91,13 @@ Mpu::finishReduce(const noc::Message &msg)
     // BSP: reduce into the accumulator; the barrier applies it.
     const std::uint64_t old_acc = store.acc(local);
     store.acc(local) =
-        checkedReduce(old_acc, msg.update, store.cur(local));
+        program.reduce(old_acc, msg.update, store.cur(local));
     if (!touchedFlag[local]) {
         touchedFlag[local] = 1;
         touchedList.push_back(local);
     } else {
         ++bspCoalesced;
     }
-}
-
-std::uint64_t
-Mpu::checkedReduce(std::uint64_t into, std::uint64_t update,
-                   std::uint64_t cur)
-{
-    const std::uint64_t good = program.reduce(into, update, cur);
-    std::uint64_t mask = 0;
-    if (reducePoint && reducePoint->fire(&mask)) {
-        // The FU produced `good ^ mask`; the residue check catches the
-        // mismatch and the reduction is replayed on the spare pass.
-        if ((good ^ mask) != good)
-            ++reduceRecomputes;
-    }
-    return good;
 }
 
 void

@@ -43,14 +43,13 @@ class Mpu : public sim::ClockedObject
     /** Reset the touched set at a BSP barrier. */
     void clearTouched();
 
-    /** Messages popped but not yet reduced (watchdog pending probe). */
+    /** Messages popped but not yet reduced (0 once drained). */
     std::uint64_t pendingWork() const { return stalled ? 1 : 0; }
 
     /** @{ @name Statistics */
     sim::stats::Scalar reductions;
     sim::stats::Scalar activations;
     sim::stats::Scalar bspCoalesced;
-    sim::stats::Scalar reduceRecomputes; ///< corrupted FU results redone
     /** @} */
 
   private:
@@ -71,13 +70,8 @@ class Mpu : public sim::ClockedObject
 
     sim::SelfEvent workEvent;
     std::optional<noc::Message> stalled;
-    sim::FaultPoint *reducePoint = nullptr; ///< "reduce.bitflip"
     sim::profile::Site &profWork;   ///< host time in work()
     sim::profile::Site &profReduce; ///< host time in finishReduce()
-
-    /** Apply reduce; a firing fault point costs a detected recompute. */
-    std::uint64_t checkedReduce(std::uint64_t into, std::uint64_t update,
-                                std::uint64_t cur);
 
     std::vector<std::uint8_t> touchedFlag;
     std::vector<VertexId> touchedList;

@@ -8,8 +8,8 @@
 #include "core/mpu.hh"
 #include "core/vmu.hh"
 #include "noc/sharded.hh"
+#include "sim/crash.hh"
 #include "sim/event_queue.hh"
-#include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/profile.hh"
@@ -40,11 +40,12 @@ struct PeParts
  *
  *  - build (the constructor): the scheduler — one serial event queue,
  *    or with threads >= 1 one conservative-PDES shard per GPN
- *    (docs/PARALLEL.md) — the fault injector and watchdog when
- *    configured, the fabric, the per-GPN edge memories and the per-PE
- *    store, vertex memory, cache, VMU, MPU and MGU;
+ *    (docs/PARALLEL.md) — the fabric, the per-GPN edge memories and
+ *    the per-PE store, vertex memory, cache, VMU, MPU and MGU;
  *  - inject: hand activations to their owning PE's VMU;
- *  - drain: run the scheduler until no event or message is left;
+ *  - drain: run the scheduler until no event or message is left, then
+ *    assert that no pipeline holds work (a lost wake-up would leave
+ *    some);
  *  - barrier: apply a BSP program to every vertex reduced into since
  *    the last barrier and gather the next frontier;
  *  - collect: final properties, work counters and statistics.
@@ -96,8 +97,6 @@ class Machine
         return counters[sharded ? pe / cfg.pesPerGpn : 0];
     }
 
-    void armWatchdog();
-
     const NovaConfig &cfg;
     VertexProgram &program;
     const graph::Csr &g;
@@ -105,7 +104,6 @@ class Machine
     const std::uint32_t numPes;
     const bool sharded;
 
-    std::optional<sim::FaultInjector> injector;
     std::optional<sim::EventQueue> serialEq;
     std::optional<sim::ParallelScheduler> sched;
     /** Per GPN when sharded (each shard updates only its own). */
@@ -114,7 +112,6 @@ class Machine
     noc::ShardedHierarchicalNetwork *shardedNet = nullptr;
     std::vector<std::unique_ptr<mem::MemorySystem>> edgeMems;
     std::vector<PeParts> pes;
-    std::optional<sim::Watchdog> watchdog;
 };
 
 Machine::Machine(const NovaConfig &config, VertexProgram &prog,
@@ -123,34 +120,17 @@ Machine::Machine(const NovaConfig &config, VertexProgram &prog,
       numPes(cfg.totalPes()), sharded(cfg.threads > 0),
       counters(sharded ? cfg.numGpns : 1)
 {
-    // The fault injector must exist before any component registers its
-    // injection points, and the schedule must be installed before that.
-    // With no schedule the injector is absent entirely, so a fault-free
-    // run is bit-identical to a build without the subsystem.
-    if (!cfg.faultSchedule.empty()) {
-        injector.emplace(cfg.faultSeed);
-        injector->configure(cfg.faultSchedule);
-    }
-
-    // The sharded model is deterministic in its own right —
-    // fingerprints depend on the shard count (numGpns), never on the
-    // thread count.
-    if (sharded) {
-        if (injector)
-            sim::fatal("--threads does not support fault injection (the "
-                       "injector's draw order is schedule-global)");
-        if (cfg.watchdogIntervalEvents > 0)
-            sim::fatal("--threads does not support the watchdog (its "
-                       "probes read cross-shard state mid-window)");
-        if (cfg.fabric != noc::FabricKind::Hierarchical)
-            sim::fatal("--threads requires the hierarchical fabric (the "
-                       "conservative lookahead comes from the crossbar)");
-    }
+    if (sharded && cfg.fabric != noc::FabricKind::Hierarchical)
+        sim::fatal("--threads requires the hierarchical fabric (the "
+                   "conservative lookahead comes from the crossbar)");
 
     noc::NetworkConfig ncfg = cfg.net;
     ncfg.numPes = numPes;
     ncfg.pesPerGpn = cfg.pesPerGpn;
 
+    // The sharded model is deterministic in its own right —
+    // fingerprints depend on the shard count (numGpns), never on the
+    // thread count.
     if (sharded) {
         sim::ParallelScheduler::Config pcfg;
         pcfg.numShards = cfg.numGpns;
@@ -168,11 +148,6 @@ Machine::Machine(const NovaConfig &config, VertexProgram &prog,
     if (sim::profile::Registry::armed())
         sim::profile::Registry::instance().reset();
 
-    // Attach the injector to the serial queue so components register
-    // their injection points. Shard queues never carry an injector
-    // (the sharded fabric asserts that).
-    if (injector && !sharded)
-        serialEq->setFaultInjector(&*injector);
     if (cfg.maxTicks > 0 || cfg.maxEvents > 0) {
         if (sharded)
             sched->setGuard(cfg.maxTicks, cfg.maxEvents);
@@ -224,64 +199,6 @@ Machine::Machine(const NovaConfig &config, VertexProgram &prog,
     }
     for (auto &p : pes)
         p.mpu->startup();
-
-    if (cfg.watchdogIntervalEvents > 0)
-        armWatchdog();
-}
-
-/**
- * Hang supervision: progress heartbeats must advance while events
- * execute; pending gauges must be zero whenever the queue drains. The
- * check runs out-of-band, so arming it never perturbs the event-order
- * fingerprint.
- */
-void
-Machine::armWatchdog()
-{
-    watchdog.emplace(*serialEq, cfg.watchdogIntervalEvents,
-                     static_cast<std::uint32_t>(cfg.watchdogStrikes));
-    watchdog->addProgress("messagesProcessed", [this] {
-        std::uint64_t n = 0;
-        for (const RunCounters &c : counters)
-            n += c.messagesProcessed;
-        return n;
-    });
-    watchdog->addProgress("messagesGenerated", [this] {
-        std::uint64_t n = 0;
-        for (const RunCounters &c : counters)
-            n += c.messagesGenerated;
-        return n;
-    });
-    watchdog->addProgress("memAccesses", [this] {
-        double n = 0;
-        for (const auto &p : pes)
-            n += p.vertexMem->channel(0).numAccesses.value();
-        for (const auto &em : edgeMems)
-            for (std::uint32_t c = 0; c < em->numChannels(); ++c)
-                n += em->channel(c).numAccesses.value();
-        return static_cast<std::uint64_t>(n);
-    });
-    watchdog->addPending("net.inFlight",
-                         [this] { return net->messagesInNetwork(); });
-    watchdog->addPending("vmu.pendingWork", [this] {
-        std::uint64_t n = 0;
-        for (const auto &p : pes)
-            n += p.vmu->pendingWork();
-        return n;
-    });
-    watchdog->addPending("mpu.stalled", [this] {
-        std::uint64_t n = 0;
-        for (const auto &p : pes)
-            n += p.mpu->pendingWork();
-        return n;
-    });
-    watchdog->addPending("mgu.inFlight", [this] {
-        std::uint64_t n = 0;
-        for (const auto &p : pes)
-            n += p.mgu->pendingWork();
-        return n;
-    });
-    watchdog->arm();
 }
 
 bool
@@ -316,8 +233,16 @@ Machine::drain()
     }
     NOVA_ASSERT(net->messagesInNetwork() == 0,
                 "drained with messages in flight");
-    if (watchdog)
-        watchdog->checkQuiescence();
+    // With the queue empty nothing can wake a pipeline again, so work
+    // still held anywhere is a deadlock.
+    for (std::uint32_t pe = 0; pe < numPes; ++pe) {
+        const PeParts &p = pes[pe];
+        NOVA_ASSERT(p.vmu->pendingWork() == 0 && p.mpu->pendingWork() == 0 &&
+                        p.mgu->pendingWork() == 0,
+                    "drained with work pending at PE ", pe, ": vmu ",
+                    p.vmu->pendingWork(), ", mpu ", p.mpu->pendingWork(),
+                    ", mgu ", p.mgu->pendingWork());
+    }
 }
 
 void
@@ -357,12 +282,6 @@ Machine::dumpStats(std::ostream &os) const
 RunResult
 Machine::collect(std::uint64_t supersteps)
 {
-    // Invariants at quiescence: nothing tracked, buffered or queued.
-    for (auto &p : pes) {
-        NOVA_ASSERT(p.vmu->pendingWork() == 0,
-                    "quiescent with pending VMU work");
-    }
-
     RunResult result;
     result.bspIterations = supersteps;
     result.ticks = sharded ? sched->now() : serialEq->now();
@@ -487,48 +406,6 @@ Machine::collect(std::uint64_t supersteps)
         }
     }
 
-    // Fault-injection outcome (only when an injector was armed, so a
-    // fault-free result map is unchanged from earlier builds).
-    if (injector) {
-        double dram_ecc = 0, dram_rereads = 0, dram_txn = 0;
-        double cache_ecc = 0, scrubs = 0, recomputes = 0;
-        for (auto &p : pes) {
-            dram_ecc += p.vertexMem->channel(0).eccCorrected.value();
-            dram_rereads += p.vertexMem->channel(0).eccRereads.value();
-            dram_txn += p.vertexMem->channel(0).txnRetries.value();
-            cache_ecc += p.cache->eccCorrected.value();
-            scrubs += p.vmu->spillScrubs.value();
-            recomputes += p.mpu->reduceRecomputes.value();
-        }
-        for (auto &em : edgeMems) {
-            for (std::uint32_t c = 0; c < em->numChannels(); ++c) {
-                dram_ecc += em->channel(c).eccCorrected.value();
-                dram_rereads += em->channel(c).eccRereads.value();
-                dram_txn += em->channel(c).txnRetries.value();
-            }
-        }
-        extra["fault.injected"] =
-            static_cast<double>(injector->totalFired());
-        extra["fault.dram.eccCorrected"] = dram_ecc;
-        extra["fault.dram.eccRereads"] = dram_rereads;
-        extra["fault.dram.txnRetries"] = dram_txn;
-        extra["fault.cache.eccCorrected"] = cache_ecc;
-        extra["fault.vmu.spillScrubs"] = scrubs;
-        extra["fault.mpu.reduceRecomputes"] = recomputes;
-        extra["fault.net.flitsDropped"] = net->flitsDropped.value();
-        extra["fault.net.flitsCorrupted"] = net->flitsCorrupted.value();
-        extra["fault.net.flitsDuplicated"] = net->flitsDuplicated.value();
-        extra["fault.net.retries"] = net->retries.value();
-        extra["fault.net.retryBackoffTicks"] =
-            net->retryBackoffTicks.value();
-        extra["fault.net.duplicatesDiscarded"] =
-            net->duplicatesDiscarded.value();
-        extra["fault.net.reorders"] = net->reorders.value();
-        extra["fault.recoveries"] = dram_ecc + dram_rereads + dram_txn +
-                                    cache_ecc + scrubs + recomputes +
-                                    net->retries.value() +
-                                    net->duplicatesDiscarded.value();
-    }
     return result;
 }
 

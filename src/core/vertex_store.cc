@@ -72,20 +72,6 @@ VertexStore::setActiveNow(VertexId local, bool a)
     }
 }
 
-bool
-VertexStore::corruptAndScrub(VertexId local, std::uint64_t mask)
-{
-    NOVA_ASSERT(local < numLocalVerts);
-    const std::uint64_t saved = curProp[local];
-    // Actually damage the stored value, as a flipped DRAM cell would.
-    curProp[local] ^= mask;
-    // The spill slot's checksum covers the full 64-bit value, so any
-    // non-zero flip is detected; the scrubber rewrites the good copy.
-    const bool detected = curProp[local] != saved;
-    curProp[local] = saved;
-    return detected;
-}
-
 std::uint32_t
 VertexStore::exactActiveBlocks(std::uint32_t superblock) const
 {

@@ -129,16 +129,6 @@ class VertexStore
     /** Global id of a local vertex. */
     VertexId globalOf(VertexId local) const { return localToGlobal[local]; }
 
-    /**
-     * Fault-injection helper: flip `mask` bits in the spilled copy of
-     * `local`'s current value, then detect the damage via the slot's
-     * checksum and scrub (restore) it — the recovery path the VMU's
-     * retrieval exercises under "spill.corrupt" faults.
-     * @return true when the corruption was detected (always, for a
-     *         non-zero mask: the checksum covers the whole slot).
-     */
-    bool corruptAndScrub(VertexId local, std::uint64_t mask);
-
   private:
     std::uint32_t numLocalVerts;
     std::uint32_t vpb;

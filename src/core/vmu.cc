@@ -27,10 +27,6 @@ Vmu::Vmu(std::string name, sim::EventQueue &queue, const NovaConfig &cfg_,
     statistics().addScalar("fifoWrites", &fifoWrites);
     statistics().addScalar("counterReconciliations",
                            &counterReconciliations);
-    statistics().addScalar("spillScrubs", &spillScrubs);
-
-    if (sim::FaultInjector *inj = queue.faultInjector())
-        spillPoint = inj->registerPoint("spill.corrupt", this->name());
 }
 
 std::uint32_t
@@ -190,16 +186,6 @@ Vmu::onBlockFetched(std::uint32_t block)
     for (VertexId v = store.blockFirst(block); v < store.blockEnd(block);
          ++v) {
         if (store.isActiveNow(v)) {
-            std::uint64_t mask = 0;
-            if (spillPoint && spillPoint->fire(&mask)) {
-                // The retrieved spill slot comes back damaged; the
-                // checksum catches it and the scrubber restores the
-                // good copy before the value is propagated.
-                const bool scrubbed = store.corruptAndScrub(v, mask);
-                NOVA_ASSERT(scrubbed,
-                            "spill-slot corruption escaped the scrubber");
-                ++spillScrubs;
-            }
             store.setActiveNow(v, false);
             directInsert(v, program.propagateValue(
                                 store.cur(v), store.globalOf(v)));

@@ -84,7 +84,6 @@ class Vmu : public sim::SimObject
     sim::stats::Scalar activeBlocksFetched;
     sim::stats::Scalar fifoWrites;
     sim::stats::Scalar counterReconciliations;
-    sim::stats::Scalar spillScrubs; ///< corrupted spill slots scrubbed
     /** @} */
 
   private:
@@ -134,7 +133,6 @@ class Vmu : public sim::SimObject
     /** Base address of the auxiliary FIFO region in vertex memory. */
     static constexpr sim::Addr fifoRegionBase = sim::Addr(1) << 44;
 
-    sim::FaultPoint *spillPoint = nullptr; ///< "spill.corrupt"
     sim::profile::Site &profActivate; ///< host time in activate()
     sim::profile::Site &profFetch;    ///< host time in onBlockFetched()
 };

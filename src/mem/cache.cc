@@ -22,10 +22,6 @@ DirectMappedCache::DirectMappedCache(std::string name,
     statistics().addScalar("evictions", &evictions);
     statistics().addScalar("writebacks", &writebacks);
     statistics().addScalar("mshrRejects", &mshrRejects);
-    statistics().addScalar("eccCorrected", &eccCorrected);
-
-    if (sim::FaultInjector *inj = queue.faultInjector())
-        eccPoint = inj->registerPoint("cache.ecc", this->name());
 }
 
 bool
@@ -55,14 +51,7 @@ DirectMappedCache::access(sim::Addr addr, bool write, MemCallback done)
     if (line.valid && line.tag == tagOf(line_addr)) {
         ++hits;
         line.dirty = line.dirty || write;
-        sim::Tick latency = cfg.hitLatency;
-        if (eccPoint && eccPoint->fire()) {
-            // Line ECC detects and corrects the flip on the read path;
-            // the correction pipeline adds a fixed delay.
-            ++eccCorrected;
-            latency = sim::tickAdd(latency, cfg.eccCorrectLatency);
-        }
-        eventQueue().scheduleIn(latency, std::move(done));
+        eventQueue().scheduleIn(cfg.hitLatency, std::move(done));
         return true;
     }
 

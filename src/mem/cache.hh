@@ -33,11 +33,6 @@ struct CacheConfig
     sim::Tick hitLatency = 1000;
     /** Maximum outstanding misses. */
     std::uint32_t numMshrs = 16;
-    /**
-     * Extra latency when the line ECC corrects a bit error on a read
-     * (only paid when a "cache.ecc" fault fires).
-     */
-    sim::Tick eccCorrectLatency = 1000;
 };
 
 /**
@@ -90,7 +85,6 @@ class DirectMappedCache : public sim::SimObject
     sim::stats::Scalar evictions;
     sim::stats::Scalar writebacks;
     sim::stats::Scalar mshrRejects;
-    sim::stats::Scalar eccCorrected; ///< line ECC events corrected inline
     /** @} */
 
   private:
@@ -142,7 +136,6 @@ class DirectMappedCache : public sim::SimObject
     std::vector<std::size_t> freeMshrs;
     std::vector<MemCallback> spaceWaiters;
     EvictHook evictHook;
-    FaultPoint *eccPoint = nullptr; ///< "cache.ecc" (reads of valid lines)
 };
 
 } // namespace nova::mem

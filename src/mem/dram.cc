@@ -1,7 +1,6 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 
 #include "sim/logging.hh"
@@ -100,17 +99,9 @@ DramChannel::DramChannel(std::string name, sim::EventQueue &queue,
     statistics().addScalar("busBusyTicks", &busBusyTicks);
     statistics().addScalar("totalQueueLatency", &totalQueueLatency);
     statistics().addScalar("numAccesses", &numAccesses);
-    statistics().addScalar("eccCorrected", &eccCorrected);
-    statistics().addScalar("eccRereads", &eccRereads);
-    statistics().addScalar("txnRetries", &txnRetries);
 
     this->queue.reserve(cfg.queueCapacity);
     keys.reserve(cfg.queueCapacity);
-
-    if (sim::FaultInjector *inj = queue.faultInjector()) {
-        bitflipPoint = inj->registerPoint("dram.bitflip", this->name());
-        txnPoint = inj->registerPoint("dram.txn", this->name());
-    }
 }
 
 std::uint32_t
@@ -235,36 +226,8 @@ DramChannel::issueOne()
     numAccesses += 1;
     totalQueueLatency += static_cast<double>(bus_end - req.enqueued);
 
-    // Fault injection on the data path. The returned data is always
-    // correct (data lives in the caller's functional arrays); the ECC /
-    // retry machinery is modeled as extra completion latency plus the
-    // recovery statistics, which is what the architecture pays.
-    Tick done_at = bus_end;
-    std::uint64_t mask = 0;
-    if (!req.write && bitflipPoint && bitflipPoint->fire(&mask)) {
-        if (std::popcount(mask) == 1) {
-            // SECDED corrects single-bit flips inline.
-            eccCorrected += 1;
-            done_at = sim::tickAdd(done_at, cfg.eccCorrectLatency);
-        } else {
-            // Multi-bit flip: detected-uncorrectable, recovered by a
-            // full re-read of the atom (worst-case row cycle + burst).
-            eccRereads += 1;
-            done_at = sim::tickAdd(
-                done_at, sim::tickAdd(cfg.tRowMiss, cfg.tBurst));
-        }
-    }
-    if (txnPoint && txnPoint->fire()) {
-        // Transaction error (bad CRC on the command/data link): the
-        // controller reissues the whole access.
-        txnRetries += 1;
-        done_at = sim::tickAdd(
-            done_at, sim::tickAdd(cfg.frontendLatency,
-                                  sim::tickAdd(cfg.tRowMiss, cfg.tBurst)));
-    }
-
     if (req.parkedAt != noCallback) {
-        eventQueue().schedule(done_at, std::move(parked[req.parkedAt]));
+        eventQueue().schedule(bus_end, std::move(parked[req.parkedAt]));
         freeParked.push_back(req.parkedAt);
     }
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "sim/event_fn.hh"
-#include "sim/fault.hh"
 #include "sim/profile.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
@@ -26,7 +25,6 @@ namespace nova::mem
 {
 
 using sim::Addr;
-using sim::FaultPoint;
 using sim::Tick;
 
 /**
@@ -57,11 +55,6 @@ struct DramTiming
     std::size_t queueCapacity = 32;
     /** Minimum spacing between consecutive command issues. */
     Tick issueGap = 250;
-    /**
-     * Extra latency to correct a single-bit error in the SECDED logic
-     * of the controller's read path (only paid when a fault fires).
-     */
-    Tick eccCorrectLatency = 2000;
 
     /** Peak bandwidth in bytes per second. */
     double peakBytesPerSec() const;
@@ -122,9 +115,6 @@ class DramChannel : public sim::SimObject
     sim::stats::Scalar busBusyTicks;
     sim::stats::Scalar totalQueueLatency;
     sim::stats::Scalar numAccesses;
-    sim::stats::Scalar eccCorrected;     ///< single-bit flips fixed inline
-    sim::stats::Scalar eccRereads;       ///< multi-bit flips detected, re-read
-    sim::stats::Scalar txnRetries;       ///< transaction errors reissued
     /** @} */
 
     /** Achieved bandwidth over the elapsed simulated time. */
@@ -175,9 +165,7 @@ class DramChannel : public sim::SimObject
     Tick nextIssueAt = 0;
     sim::SelfEvent issueEvent;
     std::vector<MemCallback> spaceWaiters;
-    FaultPoint *bitflipPoint = nullptr; ///< "dram.bitflip" (reads)
-    FaultPoint *txnPoint = nullptr;     ///< "dram.txn" (any access)
-    sim::profile::Site &profIssue;      ///< host time in issueOne()
+    sim::profile::Site &profIssue; ///< host time in issueOne()
 };
 
 /**

@@ -19,7 +19,7 @@ Network::Network(std::string name, sim::EventQueue &queue,
                  const NetworkConfig &config)
     : SimObject(std::move(name), queue), cfg(config),
       inbound(cfg.numPes), inboundNotify(cfg.numPes),
-      credits(cfg.numPes, cfg.creditsPerDst), lastInjectAt(cfg.numPes, 0)
+      credits(cfg.numPes, cfg.creditsPerDst)
 {
     NOVA_ASSERT(cfg.numPes > 0 && cfg.pesPerGpn > 0);
     NOVA_ASSERT(cfg.numPes % cfg.pesPerGpn == 0,
@@ -30,19 +30,6 @@ Network::Network(std::string name, sim::EventQueue &queue,
     statistics().addScalar("crossGpnMessages", &crossGpnMessages);
     statistics().addScalar("totalLatency", &totalLatency);
     statistics().addScalar("sendRejects", &sendRejects);
-    statistics().addScalar("flitsDropped", &flitsDropped);
-    statistics().addScalar("flitsCorrupted", &flitsCorrupted);
-    statistics().addScalar("flitsDuplicated", &flitsDuplicated);
-    statistics().addScalar("retries", &retries);
-    statistics().addScalar("retryBackoffTicks", &retryBackoffTicks);
-    statistics().addScalar("duplicatesDiscarded", &duplicatesDiscarded);
-    statistics().addScalar("reorders", &reorders);
-
-    if (sim::FaultInjector *inj = queue.faultInjector()) {
-        dropPoint = inj->registerPoint("noc.drop", this->name());
-        corruptPoint = inj->registerPoint("noc.corrupt", this->name());
-        dupPoint = inj->registerPoint("noc.dup", this->name());
-    }
 }
 
 Tick
@@ -111,48 +98,6 @@ Network::popInbound(std::uint32_t pe)
 void
 Network::deliver(const Message &msg, Tick inject_tick)
 {
-    deliverAttempt(msg, inject_tick, 0);
-}
-
-void
-Network::deliverAttempt(const Message &msg, Tick inject_tick,
-                        std::uint32_t attempt)
-{
-    // Fault injection at the single point every message funnels
-    // through. A dropped flit (lost in transit, detected by the
-    // sender's ack timeout) and a corrupted flit (CRC failure at the
-    // receiver, nack'd) are both recovered by retransmitting the
-    // original after an exponentially backed-off wait; the message
-    // never leaves the in-flight accounting, so credits and quiescence
-    // detection are unaffected.
-    const bool dropped = dropPoint && dropPoint->fire();
-    const bool corrupted = !dropped && corruptPoint && corruptPoint->fire();
-    if (dropped || corrupted) {
-        (dropped ? flitsDropped : flitsCorrupted) += 1;
-        retries += 1;
-        const std::uint32_t shift =
-            attempt < cfg.retryBackoffCap ? attempt : cfg.retryBackoffCap;
-        const Tick wait = sim::tickMul(cfg.retryTimeout, Tick(1) << shift);
-        retryBackoffTicks += static_cast<double>(wait);
-        Message copy = msg;
-        eventQueue().scheduleIn(wait, [this, copy, inject_tick, attempt] {
-            deliverAttempt(copy, inject_tick, attempt + 1);
-        });
-        return;
-    }
-    if (dupPoint && dupPoint->fire()) {
-        // A spurious extra copy arrives one timeout later; the
-        // receiver's sequence-number dedup discards it without touching
-        // the inbound queue or credit accounting.
-        flitsDuplicated += 1;
-        eventQueue().scheduleIn(cfg.retryTimeout,
-                                [this] { duplicatesDiscarded += 1; });
-    }
-
-    if (inject_tick < lastInjectAt[msg.dstPe])
-        reorders += 1;
-    lastInjectAt[msg.dstPe] = inject_tick;
-
     totalLatency += static_cast<double>(sim::tickSub(now(), inject_tick));
     auto &q = inbound[msg.dstPe];
     const bool was_empty = q.empty();

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "noc/message.hh"
-#include "sim/fault.hh"
 #include "sim/sim_object.hh"
 
 namespace nova::noc
@@ -53,15 +52,6 @@ struct NetworkConfig
     Tick xbarLatency = 100000;
     /** Latency of a message to a vertex on the sending PE itself. */
     Tick selfLatency = 500;
-    /**
-     * Link-level retry timeout: base wait before a dropped/corrupted
-     * flit is retransmitted. Doubles per attempt (exponential backoff)
-     * up to retryBackoffCap doublings. Only exercised under fault
-     * injection.
-     */
-    Tick retryTimeout = 20000;
-    /** Maximum number of backoff doublings. */
-    std::uint32_t retryBackoffCap = 6;
 };
 
 /**
@@ -124,13 +114,6 @@ class Network : public sim::SimObject
     sim::stats::Scalar crossGpnMessages;
     sim::stats::Scalar totalLatency;
     sim::stats::Scalar sendRejects;
-    sim::stats::Scalar flitsDropped;        ///< faults: flits lost in transit
-    sim::stats::Scalar flitsCorrupted;      ///< faults: CRC failures at rx
-    sim::stats::Scalar flitsDuplicated;     ///< faults: spurious extra copies
-    sim::stats::Scalar retries;             ///< link-level retransmissions
-    sim::stats::Scalar retryBackoffTicks;   ///< total backoff wait
-    sim::stats::Scalar duplicatesDiscarded; ///< dedup'd at the receiver
-    sim::stats::Scalar reorders;            ///< arrivals out of inject order
     /** @} */
 
   protected:
@@ -196,15 +179,6 @@ class Network : public sim::SimObject
   private:
     void wakeSenders();
 
-    /**
-     * The real delivery funnel behind deliver(): applies fault
-     * injection (drop/corrupt retransmit with exponential backoff,
-     * duplicate-and-discard) before the message lands in the inbound
-     * queue. `attempt` counts retransmissions of this flit.
-     */
-    void deliverAttempt(const Message &msg, Tick inject_tick,
-                        std::uint32_t attempt);
-
     std::vector<std::deque<Message>> inbound;
     std::vector<std::function<void()>> inboundNotify;
     std::vector<std::uint32_t> credits;
@@ -212,11 +186,6 @@ class Network : public sim::SimObject
     /** The buffer wakeSenders() swaps in, so neither list reallocates. */
     std::vector<std::pair<std::uint32_t, sim::EventFn>> spareWaiters;
     std::uint64_t inFlight = 0;
-    /** Last delivered inject tick per destination (reorder detection). */
-    std::vector<Tick> lastInjectAt;
-    sim::FaultPoint *dropPoint = nullptr;    ///< "noc.drop"
-    sim::FaultPoint *corruptPoint = nullptr; ///< "noc.corrupt"
-    sim::FaultPoint *dupPoint = nullptr;     ///< "noc.dup"
 };
 
 /** Intra-GPN full point-to-point mesh; valid for a single GPN. */

@@ -26,8 +26,6 @@ ShardedHierarchicalNetwork::ShardedHierarchicalNetwork(
     NOVA_ASSERT(sched.lookahead() <= minCrossLookahead(cfg),
                 "scheduler lookahead exceeds the crossbar's minimum "
                 "cross-shard latency");
-    NOVA_ASSERT(eventQueue().faultInjector() == nullptr,
-                "the sharded fabric does not support fault injection");
 
     const Tick link_ser = serializationTicks(cfg.linkGBs);
     const Tick port_ser = serializationTicks(cfg.portGBs);
@@ -41,7 +39,6 @@ ShardedHierarchicalNetwork::ShardedHierarchicalNetwork(
         sh.notify.resize(cfg.pesPerGpn);
         sh.intraCredits.assign(cfg.pesPerGpn, cfg.creditsPerDst);
         sh.channelCredits.assign(num_gpns, cfg.creditsPerDst);
-        sh.lastInjectAt.assign(cfg.pesPerGpn, 0);
 
         auto wake = [this, g] { wakeShardSenders(*shards[g]); };
         auto local_exit = [this, g](const Message &msg, Tick inject,
@@ -241,9 +238,6 @@ ShardedHierarchicalNetwork::deliverLocal(std::uint32_t shard_idx,
 {
     Shard &sh = *shards[shard_idx];
     const std::uint32_t local = localOf(msg.dstPe);
-    if (inject_tick < sh.lastInjectAt[local])
-        ++sh.d.reorders;
-    sh.lastInjectAt[local] = inject_tick;
     sh.d.totalLatency += static_cast<double>(
         sim::tickSub(sched.shard(shard_idx).now(), inject_tick));
     auto &q = sh.inbound[local];
@@ -278,7 +272,6 @@ ShardedHierarchicalNetwork::foldStats()
         selfMessages += static_cast<double>(d.selfMessages);
         crossGpnMessages += static_cast<double>(d.crossGpnMessages);
         sendRejects += static_cast<double>(d.sendRejects);
-        reorders += static_cast<double>(d.reorders);
         bytesSent += d.bytesSent;
         totalLatency += d.totalLatency;
         d = StatDeltas{};

@@ -10,8 +10,8 @@
  *
  *  - intra-GPN links, the GPN's crossbar uplink and its downlink are
  *    stages on that shard's own queue;
- *  - inbound queues, intra-GPN credit pools, waiters and
- *    reorder-detection trackers belong to the destination shard;
+ *  - inbound queues, intra-GPN credit pools and waiters belong to
+ *    the destination shard;
  *  - cross-GPN flow control uses per-(source shard, destination GPN)
  *    channel credit pools owned by the *source* shard — the credit is
  *    returned by a cross-shard message posted when the destination
@@ -144,7 +144,6 @@ class ShardedHierarchicalNetwork : public Network
         std::uint64_t selfMessages = 0;
         std::uint64_t crossGpnMessages = 0;
         std::uint64_t sendRejects = 0;
-        std::uint64_t reorders = 0;
         double bytesSent = 0;
         double totalLatency = 0;
     };
@@ -159,7 +158,6 @@ class ShardedHierarchicalNetwork : public Network
         /** Swapped in by wakeShardSenders() (see Network::wakeSenders). */
         std::vector<std::pair<std::uint32_t, sim::EventFn>> spareWaiters;
         std::uint64_t inFlight = 0;
-        std::vector<Tick> lastInjectAt; ///< [localPe]
         StatDeltas d;
         std::vector<std::vector<std::unique_ptr<ShardStage>>> intra;
         std::unique_ptr<ShardStage> uplink;

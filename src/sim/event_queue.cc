@@ -172,8 +172,6 @@ EventQueue::runNextLegacy(Tick until)
     heap.pop();
     record(item.when, item.priority, item.seq);
     item.fn();
-    if (checkEvery && numExecuted % checkEvery == 0)
-        checkFn();
     return true;
 }
 
@@ -223,8 +221,6 @@ EventQueue::runNext(Tick until)
     s.fn();
     s.fn.reset();
     freeSlots.push_back(id);
-    if (checkEvery && numExecuted % checkEvery == 0)
-        checkFn();
     return true;
 }
 

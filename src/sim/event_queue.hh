@@ -44,7 +44,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -57,8 +56,6 @@
 
 namespace nova::sim
 {
-
-class FaultInjector;
 
 /** Default scheduling priority; lower values run first within a tick. */
 constexpr int defaultPriority = 0;
@@ -203,8 +200,9 @@ class EventQueue
     /**
      * @{ @name Runaway guards
      * Hard ceilings on simulated time and total executed events. A run
-     * that crosses either ceiling panics with a watchdog-style diagnosis
-     * instead of spinning forever. 0 disables a ceiling (the default).
+     * that crosses either ceiling panics with the next event's key and
+     * the queue state instead of spinning forever. 0 disables a ceiling
+     * (the default).
      */
     void
     setGuard(Tick max_tick, std::uint64_t max_events)
@@ -214,30 +212,6 @@ class EventQueue
     }
     Tick guardTick() const { return guardMaxTick; }
     std::uint64_t guardEvents() const { return guardMaxEvents; }
-    /** @} */
-
-    /**
-     * Install an out-of-band check invoked after every `every` executed
-     * events. The callback runs outside the event stream: it is not an
-     * event, consumes no sequence number and must not schedule work, so
-     * the fingerprint is unaffected. Used by the Watchdog. `every` = 0
-     * (or a null fn) uninstalls.
-     */
-    void
-    setPeriodicCheck(std::uint64_t every, std::function<void()> fn)
-    {
-        checkEvery = fn ? every : 0;
-        checkFn = std::move(fn);
-    }
-
-    /**
-     * @{ @name Fault-injector attachment
-     * Components reach the (optional) injector through their queue so no
-     * constructor signature changes when fault injection is off. Null
-     * when no injector is attached.
-     */
-    void setFaultInjector(FaultInjector *inj) { injector = inj; }
-    FaultInjector *faultInjector() const { return injector; }
     /** @} */
 
     /**
@@ -469,9 +443,6 @@ class EventQueue
 
     Tick guardMaxTick = 0;
     std::uint64_t guardMaxEvents = 0;
-    std::uint64_t checkEvery = 0;
-    std::function<void()> checkFn;
-    FaultInjector *injector = nullptr;
     std::vector<RecentEvent> *traceSink = nullptr;
     std::array<RecentEvent, recentCapacity> recent{};
 };

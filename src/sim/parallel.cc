@@ -72,6 +72,7 @@ ParallelScheduler::postCross(std::uint32_t src_shard,
 void
 ParallelScheduler::setGuard(Tick max_tick, std::uint64_t max_events)
 {
+    guardMaxEvents = max_events;
     for (auto &sh : shards)
         sh->q.setGuard(max_tick, max_events);
 }
@@ -276,6 +277,13 @@ ParallelScheduler::runUntilQuiescent()
         total += runWindow(horizon - 1); // run(until) is inclusive
         if (cfg.deterministicMerge)
             mergeWindow();
+        if (guardMaxEvents && executed() > guardMaxEvents)
+            panic("scheduler guard tripped (max-events): ", executed(),
+                  " events executed over ", numShards(),
+                  " shards by the window ending at tick ", horizon - 1,
+                  "; guard{maxEvents=", guardMaxEvents,
+                  "}. The run exceeded its configured ceiling -- likely "
+                  "a livelock or a missing termination condition.");
     }
 
     if (cfg.deterministicMerge)

@@ -100,7 +100,12 @@ class ParallelScheduler
     void postCross(std::uint32_t src_shard, std::uint32_t dst_shard,
                    Tick when, int priority, EventFn fn);
 
-    /** Apply runaway-guard ceilings to every shard queue. */
+    /**
+     * Apply runaway-guard ceilings to every shard queue, and the event
+     * ceiling also to the run: the shards' summed executed() is checked
+     * against it at every window barrier. Each shard queue still gets
+     * the full ceiling, which stops a spin inside one window.
+     */
     void setGuard(Tick max_tick, std::uint64_t max_events);
 
     /**
@@ -161,6 +166,8 @@ class ParallelScheduler
     std::vector<std::unique_ptr<Shard>> shards;
     std::vector<Mailbox> mailboxes; ///< one per destination shard
     std::uint64_t mergedFp = 0xcbf29ce484222325ULL; // FNV-1a basis
+    /** Ceiling on the shards' summed executed events; 0 = off. */
+    std::uint64_t guardMaxEvents = 0;
 
     /** @{ @name Worker pool (present only when numThreads > 1) */
     std::vector<std::thread> workers;

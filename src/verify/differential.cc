@@ -130,23 +130,11 @@ class CorruptedProgram : public VertexProgram
     reduce(std::uint64_t state, std::uint64_t update,
            std::uint64_t cur) const override
     {
-        std::uint64_t result = inner.reduce(state, update, cur);
-        if (fault.enabled && reduceCalls++ == fault.afterReduces) {
-            const std::uint64_t corrupted = result ^ fault.xorMask;
-            if (!fault.recover)
-                return corrupted;
-            // Recovered mode: the FU result checksum flags the damaged
-            // value and the reduction is recomputed — model of a
-            // detect-and-retry functional unit. A zero mask would be
-            // undetectable, but the parser guarantees mask != 0.
-            if (corrupted != result)
-                ++nRecovered;
-        }
+        const std::uint64_t result = inner.reduce(state, update, cur);
+        if (fault.enabled && reduceCalls++ == fault.afterReduces)
+            return result ^ fault.xorMask;
         return result;
     }
-
-    /** Faults detected and recovered inside this run. */
-    std::uint64_t recoveries() const { return nRecovered; }
 
     bool
     activates(std::uint64_t old_state,
@@ -183,7 +171,6 @@ class CorruptedProgram : public VertexProgram
     VertexProgram &inner;
     FaultSpec fault;
     mutable std::uint64_t reduceCalls = 0;
-    mutable std::uint64_t nRecovered = 0;
 };
 
 /**
@@ -194,8 +181,7 @@ class CorruptedProgram : public VertexProgram
  * replay relies on.
  */
 std::unique_ptr<GraphEngine>
-makeEngine(EngineKind kind, std::uint64_t seed, std::uint64_t index,
-           const DiffOptions &opt, std::uint32_t &parts,
+makeEngine(EngineKind kind, std::uint64_t index, std::uint32_t &parts,
            std::uint32_t sched_threads)
 {
     switch (kind) {
@@ -206,11 +192,6 @@ makeEngine(EngineKind kind, std::uint64_t seed, std::uint64_t index,
         cfg.activeBufferEntries = 16;
         if (index % 2 == 1)
             cfg.numGpns = 2;
-        // Hardware fault injection (recovered faults only): the seed is
-        // a pure function of (seed, index) so replays are bit-exact.
-        cfg.faultSchedule = opt.faultSchedule;
-        cfg.faultSeed =
-            seed ^ (index * 0x9e3779b97f4a7c15ULL) ^ 0xfa0175eedULL;
         // Cross-sched sweep: the sharded parallel scheduler with the
         // canonical merged event order folded into the fingerprint.
         cfg.threads = sched_threads;
@@ -325,8 +306,7 @@ runSingle(const FuzzedGraph &fuzzed, Algo algo, EngineKind kind,
     const VertexId src = fuzzed.source;
 
     std::uint32_t parts = 1;
-    auto engine = makeEngine(kind, seed, index, opt, parts,
-                             sched_threads);
+    auto engine = makeEngine(kind, index, parts, sched_threads);
     const auto map = graph::randomMapping(g.numVertices(), parts,
                                           mappingSeed(seed, index));
 
@@ -339,7 +319,6 @@ runSingle(const FuzzedGraph &fuzzed, Algo algo, EngineKind kind,
         if (opt.fault.enabled) {
             CorruptedProgram corrupted(program, opt.fault);
             r = engine->run(corrupted, g, map);
-            out.record.recoveries += corrupted.recoveries();
         } else {
             r = engine->run(program, g, map);
         }
@@ -357,10 +336,6 @@ runSingle(const FuzzedGraph &fuzzed, Algo algo, EngineKind kind,
             out.record.fingerprint ^=
                 static_cast<std::uint64_t>(mfp_it->second) *
                 0x9e3779b97f4a7c15ULL;
-        const auto rec_it = r.extra.find("fault.recoveries");
-        if (rec_it != r.extra.end())
-            out.record.recoveries +=
-                static_cast<std::uint64_t>(rec_it->second);
         return r;
     };
 
@@ -432,8 +407,7 @@ runCase(std::uint64_t seed, std::uint64_t index, const DiffOptions &opt)
                 sim::EventQueue::ScopedDefaultImpl forced(other);
                 const SingleOutcome twin =
                     runSingle(fuzzed, algo, kind, seed, index, opt);
-                if (twin.record.fingerprint != single.record.fingerprint ||
-                    twin.record.recoveries != single.record.recoveries) {
+                if (twin.record.fingerprint != single.record.fingerprint) {
                     Divergence d;
                     d.algo = algo;
                     d.engine = kind;
@@ -442,19 +416,15 @@ runCase(std::uint64_t seed, std::uint64_t index, const DiffOptions &opt)
                         std::to_string(single.record.fingerprint) +
                         " (default) vs " +
                         std::to_string(twin.record.fingerprint) +
-                        " (alternate), recoveries " +
-                        std::to_string(single.record.recoveries) + " vs " +
-                        std::to_string(twin.record.recoveries);
+                        " (alternate)";
                     d.replayToken = encodeReplayToken(
-                        {seed, index, algo, kind, opt.fuzzer, opt.fault,
-                         opt.faultSchedule});
+                        {seed, index, algo, kind, opt.fuzzer, opt.fault});
                     out.divergences.push_back(std::move(d));
                 }
             }
 
             if (opt.crossCheckSchedThreads > 0 &&
-                kind == EngineKind::Nova && !opt.fault.enabled &&
-                opt.faultSchedule.empty()) {
+                kind == EngineKind::Nova && !opt.fault.enabled) {
                 // Sweep the sharded scheduler over both queue backends
                 // and both thread counts. All four records must agree
                 // bit for bit (the sharded model is deterministic in
@@ -498,7 +468,7 @@ runCase(std::uint64_t seed, std::uint64_t index, const DiffOptions &opt)
                         d.detail = std::move(detail);
                         d.replayToken = encodeReplayToken(
                             {seed, index, algo, kind, opt.fuzzer,
-                             opt.fault, opt.faultSchedule});
+                             opt.fault});
                         out.divergences.push_back(std::move(d));
                     }
                 }
@@ -512,8 +482,7 @@ runCase(std::uint64_t seed, std::uint64_t index, const DiffOptions &opt)
             d.engine = kind;
             d.detail = std::move(single.detail);
             d.replayToken = encodeReplayToken({seed, index, algo, kind,
-                                               opt.fuzzer, opt.fault,
-                                               opt.faultSchedule});
+                                               opt.fuzzer, opt.fault});
             out.divergences.push_back(std::move(d));
         }
     }

@@ -64,14 +64,6 @@ struct FaultSpec
     std::uint64_t afterReduces = 0;
     /** Bits flipped into that call's result. */
     std::uint64_t xorMask = 1;
-    /**
-     * Recovered mode: the corruption is detected (the FU result
-     * checksum model) and the good value recomputed, so results must
-     * still match the reference and the recovery is counted instead.
-     * This is the engine-agnostic fault path — it exercises recovery on
-     * PolyGraph and Ligra, which have no event-driven hardware model.
-     */
-    bool recover = false;
 };
 
 /** Options of a differential run. */
@@ -83,14 +75,6 @@ struct DiffOptions
                                        EngineKind::Ligra};
     FuzzerConfig fuzzer;
     FaultSpec fault;
-    /**
-     * Hardware fault schedule (sim/fault.hh grammar) armed inside the
-     * NOVA engine. The fault seed is derived deterministically from
-     * (seed, index), so recovered runs replay bit-exactly. Engines
-     * without a hardware model (PolyGraph, Ligra) ignore it; use
-     * FaultSpec::recover to fault those.
-     */
-    std::string faultSchedule;
     /**
      * Run every NOVA case twice — once per event-queue backend (legacy
      * binary heap, calendar queue) — and require bit-identical run
@@ -104,8 +88,8 @@ struct DiffOptions
      * deterministic merge, sweeping {legacy heap, calendar} x
      * {1, crossCheckSchedThreads} host threads. All four run records
      * must be bit-identical to each other and agree with the
-     * reference. Skipped when fault injection is active: corrupted
-     * reductions depend on global reduce-call order, which the sharded
+     * reference. Skipped when a fault is injected: the corrupted
+     * reduction depends on global reduce-call order, which the sharded
      * model does not reproduce.
      */
     std::uint32_t crossCheckSchedThreads = 0;
@@ -130,8 +114,7 @@ struct Divergence
 /**
  * The determinism record of one engine × algorithm run: a content hash
  * of the final properties folded with the engine's event-order
- * fingerprint (when it has one), plus the number of faults the run
- * detected and recovered from. Two replays of the same token must
+ * fingerprint (when it has one). Two replays of the same token must
  * produce identical records bit for bit.
  */
 struct RunRecord
@@ -139,7 +122,6 @@ struct RunRecord
     Algo algo = Algo::Bfs;
     EngineKind engine = EngineKind::Nova;
     std::uint64_t fingerprint = 0;
-    std::uint64_t recoveries = 0;
 };
 
 /** The outcome of one fuzz case across all engines and algorithms. */

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "sim/fault.hh"
-
 namespace nova::verify
 {
 
@@ -73,31 +71,15 @@ encodeReplayToken(const ReplayCase &c)
                         std::to_string(c.fuzzer.maxVertices) + ".e" +
                         std::to_string(c.fuzzer.maxEdges);
     if (c.fault.enabled)
-        token += (c.fault.recover ? ".r" : ".f") +
-                 std::to_string(c.fault.afterReduces) + "x" +
+        token += ".f" + std::to_string(c.fault.afterReduces) + "x" +
                  hex(c.fault.xorMask);
-    if (!c.faultSchedule.empty())
-        token += ".S" + c.faultSchedule;
     return token;
 }
 
 bool
 parseReplayToken(const std::string &token, ReplayCase &out)
 {
-    // The schedule suffix may contain dots, so split it off first: the
-    // encoder always appends it last, and no other field starts 'S'.
-    std::string head = token;
-    std::string schedule;
-    const std::size_t sched = token.find(".S");
-    if (sched != std::string::npos) {
-        schedule = token.substr(sched + 2);
-        head = token.substr(0, sched);
-        if (schedule.empty() ||
-            !sim::FaultInjector::validateSchedule(schedule).empty())
-            return false;
-    }
-
-    const std::vector<std::string> fields = splitFields(head);
+    const std::vector<std::string> fields = splitFields(token);
     if (fields.size() != 7 && fields.size() != 8)
         return false;
     if (fields[0] != tokenVersion)
@@ -120,21 +102,19 @@ parseReplayToken(const std::string &token, ReplayCase &out)
         return false;
 
     if (fields.size() == 8) {
-        // "f<afterReduces>x<xorMask:hex>" or the recovered "r..." form.
+        // "f<afterReduces>x<xorMask:hex>".
         const std::string &f = fields[7];
         const std::size_t x = f.find('x');
-        if (f.size() < 4 || (f[0] != 'f' && f[0] != 'r') ||
-            x == std::string::npos || x < 2 || x + 1 >= f.size())
+        if (f.size() < 4 || f[0] != 'f' || x == std::string::npos ||
+            x < 2 || x + 1 >= f.size())
             return false;
         if (!parseU64(f.substr(1, x - 1), 10, c.fault.afterReduces))
             return false;
         if (!parseU64(f.substr(x + 1), 16, c.fault.xorMask))
             return false;
         c.fault.enabled = true;
-        c.fault.recover = f[0] == 'r';
     }
 
-    c.faultSchedule = std::move(schedule);
     out = c;
     return true;
 }
@@ -153,7 +133,6 @@ replayCase(const ReplayCase &c)
     opt.engines = {c.engine};
     opt.fuzzer = c.fuzzer;
     opt.fault = c.fault;
-    opt.faultSchedule = c.faultSchedule;
     return runCase(c.seed, c.index, opt);
 }
 

@@ -12,14 +12,10 @@
  *
  * Format (version 1, all integers in their natural base):
  *   NV1.s<seed:hex>.i<index>.<algo>.<engine>.v<maxV>.e<maxE>
- *       [.f<afterReduces>x<xorMask:hex> | .r<afterReduces>x<xorMask:hex>]
- *       [.S<fault-schedule>]
+ *       [.f<afterReduces>x<xorMask:hex>]
  *
- * 'f' is an unrecovered reduce corruption (must diverge), 'r' the
- * recovered variant (must NOT diverge, counts a recovery). The '.S'
- * suffix carries a hardware fault schedule (sim/fault.hh grammar)
- * verbatim; it is always the last field and may itself contain dots,
- * so parsing splits it off at the first ".S" occurrence.
+ * The optional 'f' field is an injected reduce corruption (must
+ * diverge).
  */
 
 #ifndef NOVA_VERIFY_REPLAY_HH
@@ -41,8 +37,6 @@ struct ReplayCase
     EngineKind engine = EngineKind::Nova;
     FuzzerConfig fuzzer;
     FaultSpec fault;
-    /** Hardware fault schedule armed in the NOVA engine (may be empty). */
-    std::string faultSchedule;
 };
 
 /** Serialize to the one-word token. */

@@ -2,16 +2,23 @@
  * @file
  * Unit and property tests of the NOVA core: configuration equations
  * (Eq. 1-2), vertex-store geometry, VMU policies, deadlock freedom
- * under tiny resources, execution-model equivalences and determinism.
+ * under tiny resources, execution-model equivalences, determinism and
+ * the crash bundle a runaway run leaves behind.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "core/system.hh"
 #include "core/vertex_store.hh"
 #include "graph/generators.hh"
 #include "graph/graph_stats.hh"
 #include "graph/partition.hh"
+#include "sim/crash.hh"
 #include "workloads/programs.hh"
 #include "workloads/reference.hh"
 
@@ -369,4 +376,44 @@ TEST(NovaSystem, BspIterationsMatchGraphDepth)
         EXPECT_EQ(workloads::unpackLevel(r.props[v]), v);
         EXPECT_EQ(workloads::unpackSigma(r.props[v]), 1u);
     }
+}
+
+TEST(CrashBundle, GuardTripLeavesBundleWithReplayToken)
+{
+    const std::string path = "test_core_crash_bundle.txt";
+    std::remove(path.c_str());
+    sim::crash::setBundlePath(path);
+    sim::crash::setReplayToken("nova_test --replayable");
+
+    graph::UniformParams p;
+    p.numVertices = 240;
+    p.numEdges = 1500;
+    p.maxWeight = 64;
+    p.seed = 11;
+    const graph::Csr g = graph::generateUniform(p);
+    core::NovaConfig cfg = tinyConfig();
+    cfg.cacheBytesPerPe = 512;
+    cfg.activeBufferEntries = 8;
+    cfg.maxEvents = 300; // far below what the run needs
+    core::NovaSystem sys(cfg);
+    const auto map = graph::randomMapping(g.numVertices(), 4, 7);
+    workloads::SsspProgram prog(0);
+    EXPECT_THROW(sys.run(prog, g, map), sim::PanicError);
+
+    // run() writes the bundle while its components are still alive.
+    EXPECT_EQ(sim::crash::lastBundle(), path);
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "no crash bundle at " << path;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::string bundle = buf.str();
+    EXPECT_NE(bundle.find("NOVA crash bundle"), std::string::npos);
+    EXPECT_NE(bundle.find("replay: nova_test --replayable"),
+              std::string::npos);
+    EXPECT_NE(bundle.find("recent-events"), std::string::npos);
+    EXPECT_NE(bundle.find("stats:"), std::string::npos);
+
+    std::remove(path.c_str());
+    sim::crash::setBundlePath("");
+    sim::crash::setReplayToken("");
 }

@@ -4,11 +4,13 @@
  * and fingerprint equivalence against both the legacy binary-heap
  * backend and an independent std::priority_queue reference model, over
  * a million mixed-horizon events including SelfEvent cancellations.
+ * Also the runaway guards: the max-tick and max-events ceilings.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <tuple>
 #include <vector>
@@ -438,4 +440,38 @@ TEST(EventQueueStress, WindowSlideMigratesFarEventsIntoNonEmptyBucket)
             });
         }
     });
+}
+
+TEST(EventQueueGuard, MaxEventsCeilingPanics)
+{
+    EventQueue eq;
+    eq.setGuard(0, 64);
+    std::function<void()> spin = [&eq, &spin] {
+        eq.scheduleIn(10, spin);
+    };
+    eq.scheduleIn(10, spin);
+    EXPECT_THROW(eq.run(), PanicError);
+}
+
+TEST(EventQueueGuard, MaxTickCeilingPanics)
+{
+    EventQueue eq;
+    eq.setGuard(5000, 0);
+    std::function<void()> spin = [&eq, &spin] {
+        eq.scheduleIn(100, spin);
+    };
+    eq.scheduleIn(100, spin);
+    EXPECT_THROW(eq.run(), PanicError);
+}
+
+TEST(EventQueueGuard, DisabledByDefault)
+{
+    EventQueue eq;
+    std::uint64_t remaining = 200;
+    std::function<void()> spin = [&] {
+        if (--remaining > 0)
+            eq.scheduleIn(10, spin);
+    };
+    eq.scheduleIn(10, spin);
+    EXPECT_NO_THROW(eq.run());
 }

@@ -2,7 +2,7 @@
  * @file
  * Golden exact counts of the NOVA model.
  *
- * A fixed matrix of fault-free runs — BFS, SSSP and CC on the Twitter
+ * A fixed matrix of runs — BFS, SSSP and CC on the Twitter
  * preset, PageRank and BC on the road preset, each on 1 GPN serial,
  * 4 GPNs serial and 4 GPNs sharded over 2 host threads — built exactly
  * as `nova_cli run` builds them (scaled default config, random mapping

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <optional>
@@ -31,7 +32,9 @@
 #include <vector>
 
 #include "core/system.hh"
+#include "graph/generators.hh"
 #include "graph/partition.hh"
+#include "sim/crash.hh"
 #include "sim/event_queue.hh"
 #include "sim/parallel.hh"
 #include "sim/random.hh"
@@ -587,4 +590,39 @@ TEST(ParallelScheduler, ShardClocksResyncAtQuiescence)
     sched.shard(1).schedule(sched.now(), [] {});
     sched.runUntilQuiescent();
     EXPECT_EQ(sched.executed(), 3u);
+}
+
+TEST(ParallelGuard, MaxEventsCapsTheWholeRun)
+{
+    // Every shard queue counts only its own events. A ceiling that the
+    // run exceeds but no single shard does must still trip at a window
+    // barrier, on any thread count, and a run within it must not.
+    graph::UniformParams p;
+    p.numVertices = 1024;
+    p.numEdges = 8192;
+    p.maxWeight = 64;
+    p.seed = 5;
+    const graph::Csr g = graph::generateUniform(p);
+    auto run = [&g](std::uint32_t threads, std::uint64_t max_events) {
+        core::NovaConfig cfg = shardedConfig(threads);
+        cfg.numGpns = 4;
+        cfg.maxEvents = max_events;
+        core::NovaSystem system(cfg);
+        const auto map =
+            graph::randomMapping(g.numVertices(), cfg.totalPes(), 9);
+        workloads::SsspProgram prog(0);
+        return system.run(prog, g, map);
+    };
+    const auto total =
+        static_cast<std::uint64_t>(run(1, 0).extra.at("sim.events"));
+
+    const std::string bundle = "test_parallel_crash_bundle.txt";
+    sim::crash::setBundlePath(bundle);
+    for (const std::uint32_t threads : {1u, 2u}) {
+        EXPECT_NO_THROW(run(threads, total)) << threads << " threads";
+        EXPECT_THROW(run(threads, total / 2), sim::PanicError)
+            << threads << " threads";
+    }
+    std::remove(bundle.c_str());
+    sim::crash::setBundlePath("");
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the differential fuzzing and replay harness: fuzzer
- * determinism and coverage, clean differential sweeps, fault-injection
- * detection, token round-trips and bit-exact engine replay.
+ * determinism and coverage, clean differential sweeps, injected-fault
+ * detection on every engine, token round-trips and bit-exact engine
+ * replay.
  */
 
 #include <gtest/gtest.h>
@@ -156,6 +157,19 @@ TEST(Differential, InjectedFaultIsDetectedAndReplaysExactly)
         << "no injected fault surfaced in 20 fuzz cases";
 }
 
+TEST(EngineFaultMatrix, UnrecoveredFaultStillDetected)
+{
+    // The harness must keep catching corruption on an engine without
+    // an event-driven hardware model too.
+    DiffOptions opt;
+    opt.algos = {Algo::Sssp};
+    opt.engines = {EngineKind::Ligra};
+    opt.fault.enabled = true;
+    opt.fault.afterReduces = 3;
+    const CaseOutcome outcome = verify::runCase(5, 0, opt);
+    EXPECT_FALSE(outcome.ok());
+}
+
 TEST(Differential, FaultFreeReplayOfCleanCasePasses)
 {
     ReplayCase c;
@@ -214,6 +228,29 @@ TEST(Replay, MalformedTokensRejected)
           "NV1.s1.i0.bfs.nova.v256.e2048.fnope",
           "NV1.s1.i0.bfs.nova.v256.e2048.f1x2.extra"})
         EXPECT_FALSE(verify::parseReplayToken(bad, c)) << bad;
+}
+
+TEST(ReplayToken, LegacyUnrecoveredFormStillParses)
+{
+    ReplayCase parsed;
+    ASSERT_TRUE(verify::parseReplayToken(
+        "NV1.s1.i12.sssp.nova.v256.e2048.f3xff", parsed));
+    EXPECT_TRUE(parsed.fault.enabled);
+    EXPECT_EQ(parsed.fault.afterReduces, 3u);
+    EXPECT_EQ(parsed.fault.xorMask, 0xffu);
+}
+
+TEST(ReplayToken, BadScheduleSuffixRejected)
+{
+    // Tokens carry no recovered-fault field and no hardware fault
+    // schedule.
+    ReplayCase parsed;
+    for (const char *bad :
+         {"NV1.s1.i12.sssp.nova.v256.e2048.Sbogus.kind:n=1",
+          "NV1.s1.i12.sssp.nova.v256.e2048.S",
+          "NV1.s1.i12.sssp.nova.v256.e2048.r3xff",
+          "NV1.s1.i12.sssp.nova.v256.e2048.Sdram.bitflip:n=1"})
+        EXPECT_FALSE(verify::parseReplayToken(bad, parsed)) << bad;
 }
 
 TEST(Replay, CommandContainsToken)

@@ -37,12 +37,9 @@
  *                    per-shard event traces into one canonical order
  *                    and print its fingerprint (docs/PARALLEL.md)
  *
- * Resilience (nova engine only; see docs/RESILIENCE.md):
- *   --faults=<schedule>   fault schedule (sim/fault.hh grammar)
- *   --fault-seed=<n>      fault-probability RNG seed        [0]
+ * Runaway guards (nova engine only; see docs/RESILIENCE.md):
  *   --max-ticks=<n>       abort if simulated time passes n  [off]
  *   --max-events=<n>      abort after n events              [off]
- *   --watchdog=<n>        progress check every n events     [off]
  *   --crash-bundle=<p>    crash-bundle path       [nova_crash.txt]
  *
  * Exit codes: 0 success, 1 user error (FatalError, bad flags,
@@ -62,9 +59,7 @@
  *   --max-v=<N>      fuzzer vertex bound               [256]
  *   --max-e=<N>      fuzzer edge bound                 [2048]
  *   --inject-fault=<AFTER>[:<MASK-hex>]  corrupt the AFTER-th reduce
- *   --inject-recovered=<AFTER>[:<MASK-hex>]  recovered variant (must
- *                    NOT diverge; counted as a recovery)
- *   --faults=<schedule>  hardware fault schedule inside NOVA runs
+ *                    (must diverge; proves the harness catches it)
  *   --replay=<tok>   re-run one recorded failing case
  *   --cross-queue    run every NOVA case on both event-queue backends
  *                    and require bit-identical fingerprints
@@ -89,8 +84,8 @@
 #include "baselines/polygraph.hh"
 #include "core/system.hh"
 #include "graph/generators.hh"
+#include "sim/crash.hh"
 #include "sim/event_queue.hh"
-#include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/profile.hh"
 #include "graph/graph_stats.hh"
@@ -149,20 +144,10 @@ struct CliOptions
     std::uint32_t threads = 0;
     bool deterministicMerge = false;
 
-    // Resilience flags (nova engine only).
-    std::string faultSchedule;
-    std::uint64_t faultSeed = 0;
+    // Runaway guards (nova engine only).
     std::uint64_t maxTicks = 0;
     std::uint64_t maxEvents = 0;
-    std::uint64_t watchdogEvents = 0;
     std::string crashBundle;
-
-    bool
-    usesResilience() const
-    {
-        return !faultSchedule.empty() || maxTicks > 0 || maxEvents > 0 ||
-               watchdogEvents > 0;
-    }
 };
 
 bool
@@ -241,17 +226,12 @@ parseArgs(int argc, char **argv)
             o.src = parseU32(v, "--src");
         else if (takeValue(a, "--seed=", v))
             o.seed = parseU64(v, "--seed");
-        else if (takeValue(a, "--faults=", o.faultSchedule) ||
-                 takeValue(a, "--crash-bundle=", o.crashBundle))
+        else if (takeValue(a, "--crash-bundle=", o.crashBundle))
             continue;
-        else if (takeValue(a, "--fault-seed=", v))
-            o.faultSeed = parseU64(v, "--fault-seed");
         else if (takeValue(a, "--max-ticks=", v))
             o.maxTicks = parseU64(v, "--max-ticks");
         else if (takeValue(a, "--max-events=", v))
             o.maxEvents = parseU64(v, "--max-events");
-        else if (takeValue(a, "--watchdog=", v))
-            o.watchdogEvents = parseU64(v, "--watchdog");
         else if (std::strcmp(a, "--no-validate") == 0)
             o.validate = false;
         else if (std::strcmp(a, "--stats") == 0)
@@ -345,23 +325,14 @@ makeEngine(const CliOptions &o)
             cfg.fabric = noc::FabricKind::Ideal;
         else if (o.fabric == "p2p")
             cfg.fabric = noc::FabricKind::PointToPoint;
-        cfg.faultSchedule = o.faultSchedule;
-        cfg.faultSeed = o.faultSeed;
         cfg.maxTicks = o.maxTicks;
         cfg.maxEvents = o.maxEvents;
-        cfg.watchdogIntervalEvents = o.watchdogEvents;
         cfg.threads = o.threads;
         cfg.deterministicMerge = o.deterministicMerge;
-        if (!o.faultSchedule.empty()) {
-            const std::string err =
-                sim::FaultInjector::validateSchedule(o.faultSchedule);
-            if (!err.empty())
-                sim::fatal("bad --faults schedule: ", err);
-        }
         return std::make_unique<core::NovaSystem>(cfg);
     }
-    if (o.usesResilience())
-        sim::fatal("--faults/--watchdog/--max-* need --engine=nova");
+    if (o.maxTicks > 0 || o.maxEvents > 0)
+        sim::fatal("--max-ticks/--max-events need --engine=nova");
     if (o.threads > 0 || o.deterministicMerge)
         sim::fatal("--threads/--deterministic-merge need --engine=nova");
     if (o.engine == "polygraph")
@@ -457,11 +428,8 @@ verifyMain(int argc, char **argv)
                     sim::fatal("unknown engine '", name, "'");
                 opt.engines.push_back(kind);
             }
-        } else if (takeValue(a, "--inject-fault=", v) ||
-                   takeValue(a, "--inject-recovered=", v)) {
+        } else if (takeValue(a, "--inject-fault=", v)) {
             opt.fault.enabled = true;
-            opt.fault.recover =
-                std::strncmp(a, "--inject-recovered=", 19) == 0;
             opt.fault.xorMask = ~std::uint64_t(0);
             const std::size_t colon = v.find(':');
             opt.fault.afterReduces =
@@ -469,12 +437,6 @@ verifyMain(int argc, char **argv)
             if (colon != std::string::npos)
                 opt.fault.xorMask = parseU64(
                     v.substr(colon + 1), "--inject-fault mask", 16);
-        } else if (takeValue(a, "--faults=", v)) {
-            const std::string err =
-                sim::FaultInjector::validateSchedule(v);
-            if (!err.empty())
-                sim::fatal("bad --faults schedule: ", err);
-            opt.faultSchedule = v;
         } else if (takeValue(a, "--replay=", v))
             replay_token = v;
         else if (std::strcmp(a, "--cross-queue") == 0)
@@ -510,12 +472,10 @@ verifyMain(int argc, char **argv)
         const verify::CaseOutcome outcome = verify::replayCase(c);
         std::printf("graph: %s\n", outcome.graphDescription.c_str());
         for (const auto &rec : outcome.runs)
-            std::printf("run %s on %s: fingerprint 0x%llx, "
-                        "recoveries %llu\n",
+            std::printf("run %s on %s: fingerprint 0x%llx\n",
                         verify::algoName(rec.algo),
                         verify::engineKindName(rec.engine),
-                        static_cast<unsigned long long>(rec.fingerprint),
-                        static_cast<unsigned long long>(rec.recoveries));
+                        static_cast<unsigned long long>(rec.fingerprint));
         if (outcome.ok()) {
             std::printf("replay: no divergence\n");
             return 0;
@@ -648,7 +608,7 @@ cliMain(int argc, char **argv)
     }
 
     std::printf("time: %.6f ms %s\n", r.seconds() * 1e3,
-                o.engine == "ligra" ? "(wall)" : "(simulated)");
+                o.engine == "ligra" ? "(cost model)" : "(simulated)");
     std::printf("throughput: %.3f GTEPS over %llu traversed edges\n",
                 r.gteps(),
                 static_cast<unsigned long long>(r.messagesGenerated));
@@ -665,12 +625,6 @@ cliMain(int argc, char **argv)
                     static_cast<unsigned long long>(mfp->second),
                     static_cast<unsigned long long>(
                         r.extra.at("sim.shards")));
-    if (const auto rec = r.extra.find("fault.recoveries");
-        rec != r.extra.end())
-        std::printf("faults: %llu injected, %llu recovered\n",
-                    static_cast<unsigned long long>(
-                        r.extra.at("fault.injected")),
-                    static_cast<unsigned long long>(rec->second));
     if (o.validate)
         std::printf("validation: %s\n", valid ? "OK" : "MISMATCH");
     if (o.profile) {
